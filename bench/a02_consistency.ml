@@ -30,11 +30,7 @@ let run_discipline discipline =
   Netsim.Node.set_handler h1 (fun _ ~in_port:_ pkt ->
       let n = Int64.to_int (Netsim.Packet.meta_default pkt "applied" 0L) in
       tallies.(min n 3) <- tallies.(min n 3) + 1);
-  let gen = Netsim.Traffic.create sim in
-  Netsim.Traffic.cbr gen ~rate_pps:5_000. ~start:0. ~stop:1.0 ~send:(fun () ->
-      Netsim.Node.send h0 ~port:0
-        (Common.h0_h1_packet ~h0:h0.Netsim.Node.id ~h1:h1.Netsim.Node.id
-           ~born:(Netsim.Sim.now sim)));
+  ignore (Scenario.cbr sim ~h0 ~h1 ~rate_pps:5_000. ~stop:1.0);
   let add () = ignore (Targets.Device.install s0 ~ctx:prog ~order:0 counter) in
   let remove () = ignore (Targets.Device.uninstall s2 "move_me") in
   (match discipline with

@@ -25,54 +25,16 @@ let lpm_table ?(size = 1024) name =
     ~actions:[ action "a" [ set_meta "x" (const 1) ] ]
     ~default:("a", []) ~size ()
 
-let h0_h1_packet ~h0 ~h1 ~born =
-  Netsim.Traffic.tcp_packet ~src:h0 ~dst:h1 ~sport:1234 ~dport:80 ~born ()
-
-(* -- Tenant-churn workload (E9 / E18) ---------------------------------
-
-   A deterministic stream of tenant arrival specs: spec [i] fixes the
-   program, sojourn, and market parameters of the i-th arrival, so two
-   runs under different admission policies (market vs fixed threshold)
-   face byte-identical tenant populations and the comparison isolates
-   the policy. *)
-
-type churn_spec = {
-  cs_name : string;
-  cs_program : Flexbpf.Ast.program;
-  cs_sojourn : float; (* departs (or gives up waiting) after this long *)
-  cs_budget : float; (* market: max spend per clearing round *)
-  cs_weight : float; (* market: utility scale *)
-  cs_protected : bool; (* market: Protected SLA, never preempted *)
-}
-
-let churn_workload ?(seed = 31) ?(mean_sojourn = 0.8) n =
-  let rng = Random.State.make [| seed |] in
-  let exp_draw mean = -.mean *. log (1. -. Random.State.float rng 1.) in
-  List.init n (fun i ->
-      let idx = i + 1 in
-      let name = Printf.sprintf "tenant%d" idx in
-      let program =
-        (* 60% heavyweight ACL rule tables (64k..1M rules — the
-           footprints that exhaust match memory and make admission a
-           rationing problem), 40% lightweight stateful apps *)
-        match Random.State.int rng 10 with
-        | 0 | 1 ->
-          Apps.Firewall.program ~owner:name ~boundary:100 ()
-        | 2 | 3 ->
-          Apps.Nat.program ~owner:name ~public:(900 + idx) ~subnet_lo:10
-            ~subnet_hi:20 ()
-        | _ ->
-          Apps.Acl.program ~owner:name
-            ~size:(65536 lsl Random.State.int rng 5)
-            ()
-      in
-      { cs_name = name; cs_program = program;
-        cs_sojourn = exp_draw mean_sojourn;
-        cs_budget = 4. +. Random.State.float rng 12.;
-        (* willingness-to-pay multiple over floor rent: everyone enters
-           an idle market, the spread decides who survives congestion *)
-        cs_weight = 1.2 +. Random.State.float rng 4.;
-        cs_protected = Random.State.int rng 10 = 0 })
+(* E1's reconfiguration, replayed by E14 and E15: install a one-element
+   hit counter on the middle switch s1. *)
+let add_counter_plan () =
+  let counter = block "cnt" [ map_incr "hits" [ const 0 ] ] in
+  let prog =
+    program "p" ~maps:[ map_decl ~key_arity:1 ~size:4 "hits" ] [ counter ]
+  in
+  Compiler.Plan.v "add"
+    [ Compiler.Plan.Install
+        { device = "s1"; element = counter; ctx = prog; order = 0 } ]
 
 (* What one churn run reports, whichever admission policy drove it.
    Latency quantiles come from the [tenants.admit_latency_ms]
@@ -100,18 +62,23 @@ type churn_stats = {
   ch_wall_s : float;
 }
 
+(* Load of the most-loaded device on the path. *)
+let bottleneck net =
+  List.fold_left
+    (fun acc d -> Float.max acc (Targets.Device.utilization d))
+    0. (Flexnet.path net)
+
 (* Shared scaffolding of both drivers: build the net, schedule exactly
    [List.length specs] arrivals with exponential gaps at rate [lambda]
    (a Poisson process of known length), sample switch utilization, run
    to a horizon past the last arrival, and read the latency histogram.
    [arrive] admits one spec, [before_run] installs policy machinery
-   (the market's clearing loop), both closing over the net. *)
-let churn_run ?(switches = 3) ~lambda ~specs ~make_arrive ?(tail = 1.0)
+   (the market's clearing loop), both closing over the net. Returns the
+   net and its policy-independent stats; each policy fills in its own
+   admission counts. *)
+let churn_run ?switches ~lambda ~specs ~make_arrive ?(tail = 1.0)
     ?(before_run = fun _ -> ()) () =
-  let net = Flexnet.create ~arch:Targets.Arch.Drmt ~switches () in
-  (match Flexnet.deploy_infrastructure net with
-  | Ok _ -> ()
-  | Error e -> failwith e);
+  let net = Scenario.up ?switches () in
   let sim = Flexnet.sim net in
   let tenants = Flexnet.tenants_exn net in
   Control.Tenants.set_clock tenants Unix.gettimeofday;
@@ -129,15 +96,10 @@ let churn_run ?(switches = 3) ~lambda ~specs ~make_arrive ?(tail = 1.0)
     specs;
   let horizon = !t +. tail in
   let warmup = 0.2 *. horizon in
-  let bottleneck () =
-    List.fold_left
-      (fun acc d -> Float.max acc (Targets.Device.utilization d))
-      0. (Flexnet.path net)
-  in
   let samples = ref 0 and util_sum = ref 0. and util_peak = ref 0. in
   Netsim.Sim.every sim ~period:0.05 (fun () ->
       if Netsim.Sim.now sim >= warmup then begin
-        let u = bottleneck () in
+        let u = bottleneck net in
         incr samples;
         util_sum := !util_sum +. u;
         util_peak := Float.max !util_peak u
@@ -149,12 +111,15 @@ let churn_run ?(switches = 3) ~lambda ~specs ~make_arrive ?(tail = 1.0)
   let wall = Unix.gettimeofday () -. w0 in
   let m = Obs.Scope.metrics (Flexnet.obs net) in
   let h = Obs.Metrics.histogram m "tenants.admit_latency_ms" in
+  let q = Obs.Metrics.Histogram.quantile h in
   ( net,
-    !arrivals,
-    (!util_sum /. float_of_int (max 1 !samples), !util_peak),
-    Obs.Metrics.Histogram.
-      (count h, quantile h 0.5, quantile h 0.9, quantile h 0.99),
-    wall )
+    { ch_arrivals = !arrivals; ch_admitted = 0; ch_rejected = 0;
+      ch_deferred = 0; ch_preempted = 0; ch_departed = tenants.departed;
+      ch_mean_util = !util_sum /. float_of_int (max 1 !samples);
+      ch_peak_util = !util_peak;
+      ch_lat_count = Obs.Metrics.Histogram.count h; ch_lat_p50 = q 0.5;
+      ch_lat_p90 = q 0.9; ch_lat_p99 = q 0.99; ch_rounds = 0;
+      ch_converged = 0; ch_wall_s = wall } )
 
 (* Market-policy churn: arrivals become bidders in a Market.Auction
    cleared every 100 ms; a tenant's sojourn timer withdraws it whether
@@ -171,14 +136,8 @@ let run_market_churn ?switches
     let au = Market.Auction.create ~tenants ~path:(book_path net) () in
     auction := Some au;
     let sim = Flexnet.sim net in
-    fun spec ->
-      match
-        Market.Tenant.create
-          ~sla:
-            (if spec.cs_protected then Market.Tenant.Protected
-             else Market.Tenant.Best_effort)
-          ~budget:spec.cs_budget ~weight:spec.cs_weight spec.cs_program
-      with
+    fun (spec : Scenario.churn_spec) ->
+      match Scenario.bidder spec with
       | Error _ -> ()
       | Ok mt ->
         Market.Auction.submit au mt;
@@ -192,26 +151,22 @@ let run_market_churn ?switches
         ignore (Market.Auction.clear au);
         Netsim.Sim.now sim < horizon)
   in
-  let net, arrivals, (mean_util, peak_util), (lc, p50, p90, p99), wall =
+  let net, base =
     churn_run ?switches ~lambda ~specs ~make_arrive ~before_run ()
   in
-  let m = Obs.Scope.metrics (Flexnet.obs net) in
-  let c name = Obs.Metrics.get_counter m name in
+  let c = Obs.Metrics.get_counter (Obs.Scope.metrics (Flexnet.obs net)) in
   let au = Option.get !auction in
-  let converged =
-    List.length (List.filter (fun r -> r.Market.Auction.rd_converged)
-                   (Market.Auction.rounds au))
-  in
-  ( { ch_arrivals = arrivals;
+  ( { base with
       ch_admitted = c "market.admitted";
       ch_rejected = c "market.rejected";
       ch_deferred = c "market.deferred";
       ch_preempted = c "market.preempted";
-      ch_departed = (Flexnet.tenants_exn net).Control.Tenants.departed;
-      ch_mean_util = mean_util; ch_peak_util = peak_util;
-      ch_lat_count = lc; ch_lat_p50 = p50; ch_lat_p90 = p90;
-      ch_lat_p99 = p99; ch_rounds = c "market.rounds";
-      ch_converged = converged; ch_wall_s = wall },
+      ch_rounds = c "market.rounds";
+      ch_converged =
+        List.length
+          (List.filter
+             (fun r -> r.Market.Auction.rd_converged)
+             (Market.Auction.rounds au)) },
     au )
 
 (* Fixed-threshold churn: the baseline admission policy E18 compares
@@ -222,13 +177,8 @@ let run_threshold_churn ?switches ?(threshold = 0.70) ~lambda specs =
   let admitted = ref 0 and rejected = ref 0 in
   let make_arrive net =
     let sim = Flexnet.sim net in
-    let bottleneck () =
-      List.fold_left
-        (fun acc d -> Float.max acc (Targets.Device.utilization d))
-        0. (Flexnet.path net)
-    in
-    fun spec ->
-      if bottleneck () >= threshold then incr rejected
+    fun (spec : Scenario.churn_spec) ->
+      if bottleneck net >= threshold then incr rejected
       else
         match Flexnet.add_tenant net spec.cs_program with
         | Ok _ ->
@@ -237,15 +187,8 @@ let run_threshold_churn ?switches ?(threshold = 0.70) ~lambda specs =
               ignore (Flexnet.remove_tenant net spec.cs_name))
         | Error _ -> incr rejected
   in
-  let net, arrivals, (mean_util, peak_util), (lc, p50, p90, p99), wall =
-    churn_run ?switches ~lambda ~specs ~make_arrive ()
-  in
-  { ch_arrivals = arrivals; ch_admitted = !admitted;
-    ch_rejected = !rejected; ch_deferred = 0; ch_preempted = 0;
-    ch_departed = (Flexnet.tenants_exn net).Control.Tenants.departed;
-    ch_mean_util = mean_util; ch_peak_util = peak_util;
-    ch_lat_count = lc; ch_lat_p50 = p50; ch_lat_p90 = p90;
-    ch_lat_p99 = p99; ch_rounds = 0; ch_converged = 0; ch_wall_s = wall }
+  let _, base = churn_run ?switches ~lambda ~specs ~make_arrive () in
+  { base with ch_admitted = !admitted; ch_rejected = !rejected }
 
 (* A wired linear network (h0 - switches - h1) with devices of [arch];
    returns (sim, topo, h0, h1, devices, wireds, received counter). *)

@@ -5,25 +5,10 @@
    hitlessly; the compile-time baseline isolates the device (drain),
    reflashes, and redeploys. *)
 
-open Flexbpf.Builder
-
 let run_mode mode =
   let sim, _topo, h0, h1, _devs, wireds, received = Common.wired_linear () in
-  let sent = ref 0 in
-  let gen = Netsim.Traffic.create sim in
-  Netsim.Traffic.cbr gen ~rate_pps:10_000. ~start:0. ~stop:2.0 ~send:(fun () ->
-      incr sent;
-      Netsim.Node.send h0 ~port:0
-        (Common.h0_h1_packet ~h0:h0.Netsim.Node.id ~h1:h1.Netsim.Node.id
-           ~born:(Netsim.Sim.now sim)));
-  let counter = block "cnt" [ map_incr "hits" [ const 0 ] ] in
-  let prog =
-    program "p" ~maps:[ map_decl ~key_arity:1 ~size:4 "hits" ] [ counter ]
-  in
-  let plan =
-    Compiler.Plan.v "add"
-      [ Compiler.Plan.Install { device = "s1"; element = counter; ctx = prog; order = 0 } ]
-  in
+  let sent = Scenario.cbr sim ~h0 ~h1 ~rate_pps:10_000. ~stop:2.0 in
+  let plan = Common.add_counter_plan () in
   let duration = ref 0. in
   Netsim.Sim.at sim 1.0 (fun () ->
       Runtime.Reconfig.execute_plan ~sim ~mode ~wireds ~plan

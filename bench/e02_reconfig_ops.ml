@@ -20,11 +20,7 @@ let consistency_check arch =
   let epochs = ref [] in
   Netsim.Node.set_handler h1 (fun _ ~in_port:_ pkt ->
       epochs := pkt.Netsim.Packet.epoch :: !epochs);
-  let gen = Netsim.Traffic.create sim in
-  Netsim.Traffic.cbr gen ~rate_pps:5000. ~start:0. ~stop:0.4 ~send:(fun () ->
-      Netsim.Node.send h0 ~port:0
-        (Common.h0_h1_packet ~h0:h0.Netsim.Node.id ~h1:h1.Netsim.Node.id
-           ~born:(Netsim.Sim.now sim)));
+  ignore (Scenario.cbr sim ~h0 ~h1 ~rate_pps:5000. ~stop:0.4);
   let t1 = Common.exact_table ~size:16 "t1" in
   let prog1 = program "p1" [ t0; t1 ] in
   Netsim.Sim.at sim 0.2 (fun () ->

@@ -6,58 +6,17 @@
    freeze-copy loses the updates applied during its copy window, the
    Swing-State-style data-plane protocol loses none. *)
 
-let cfg = { Apps.Cm_sketch.depth = 3; width = 512; map_name = "cms" }
-
-let mk_device id =
-  let dev = Targets.Device.create ~id Targets.Arch.drmt in
-  let prog = Apps.Cm_sketch.program ~cfg () in
-  List.iteri
-    (fun i el -> ignore (Targets.Device.install dev ~ctx:prog ~order:i el))
-    prog.Flexbpf.Ast.pipeline;
-  dev
-
-let run_protocol ~pps protocol =
-  let sim = Netsim.Sim.create () in
-  let src = mk_device "a" and dst = mk_device "b" in
-  let handle = Runtime.Migration.create src in
-  let rng = Random.State.make [| 9 |] in
-  let sent = ref 0 in
-  let gen = Netsim.Traffic.create sim in
-  Netsim.Traffic.cbr gen ~rate_pps:pps ~start:0. ~stop:1.0 ~send:(fun () ->
-      incr sent;
-      let s = Int64.of_int (Random.State.int rng 200) in
-      let pkt =
-        Netsim.Packet.create
-          [ Netsim.Packet.ethernet ~src:s ~dst:1L ();
-            Netsim.Packet.ipv4 ~src:s ~dst:1L ();
-            Netsim.Packet.tcp ~sport:1L ~dport:2L () ]
-      in
-      ignore
-        (Runtime.Migration.exec handle
-           ~now_us:(Int64.of_float (Netsim.Sim.now sim *. 1e6))
-           pkt));
-  let window = ref 0. in
-  Netsim.Sim.at sim 0.5 (fun () ->
-      match protocol with
-      | `Freeze ->
-        Runtime.Migration.freeze_copy ~entries_per_second:20_000. ~sim handle
-          ~dst ~map_names:[ "cms" ]
-          ~on_done:(fun r -> window := r.Runtime.Migration.window)
-          ()
-      | `Swing ->
-        Runtime.Migration.swing ~sim handle ~dst ~map_names:[ "cms" ]
-          ~on_done:(fun r -> window := r.Runtime.Migration.window)
-          ());
-  ignore (Netsim.Sim.run sim);
-  let expected = !sent * cfg.Apps.Cm_sketch.depth in
-  let present =
-    Int64.to_int (Runtime.Migration.map_sum (Runtime.Migration.active handle) "cms")
-  in
-  (expected, expected - present, !window)
-
 let run_case pps =
-  let fe, fl, fw = run_protocol ~pps `Freeze in
-  let _, sl, sw = run_protocol ~pps `Swing in
+  let migrate proto =
+    let m =
+      Scenario.migrate_count_min ~entries_per_second:20_000. ~seed:9
+        ~flows:200 ~pps proto
+    in
+    (m.Scenario.expected, m.Scenario.expected - m.Scenario.present,
+     m.Scenario.window)
+  in
+  let fe, fl, fw = migrate `Freeze in
+  let _, sl, sw = migrate `Swing in
   [ Printf.sprintf "%.0fk" (pps /. 1000.);
     Report.i fe;
     Report.i fl;

@@ -9,80 +9,38 @@
    retires them afterwards. *)
 
 let run_case peak_pps =
-  let net = Flexnet.create ~arch:Targets.Arch.Drmt ~switches:3 () in
-  (match Flexnet.deploy_infrastructure net with
-   | Ok _ -> ()
-   | Error e -> failwith e);
-  let sim = Flexnet.sim net in
-  let h0 = Flexnet.h0 net and h1 = Flexnet.h1 net in
-  let switches = Flexnet.switch_devices net in
+  let net = Scenario.up () in
   let victim_syns = ref 0 in
-  Netsim.Node.set_handler h1 (fun _ ~in_port:_ pkt ->
+  Netsim.Node.set_handler (Flexnet.h1 net) (fun _ ~in_port:_ pkt ->
       let flags = Option.value (Netsim.Packet.field pkt "tcp" "flags") ~default:0L in
       if Int64.logand flags Netsim.Packet.tcp_flag_syn <> 0L then incr victim_syns);
-  let attack_sent = ref 0 in
-  let attack_gen = Netsim.Traffic.create ~seed:4 sim in
-  Netsim.Traffic.ramp attack_gen ~peak_pps ~start:0.5 ~ramp_up:1.0 ~hold:1.5
-    ~ramp_down:1.0 ~send:(fun () ->
-      incr attack_sent;
-      Netsim.Node.send h0 ~port:0
-        (Netsim.Traffic.spoofed_syn attack_gen ~dst:h1.Netsim.Node.id ~dport:80
-           ~born:(Netsim.Sim.now sim)));
-  let defense_prog = Apps.Syn_defense.program ~threshold:100 () in
-  let controller = Flexnet.controller net in
-  let uri = Control.Uri.v ~owner:"infra" "syn-defense" in
-  ignore
-    (Control.Controller.register_app controller ~uri
-       ~kind:Control.Controller.Utility ~program:defense_prog ~replicas:[]);
-  let replicas = ref 0 in
-  let max_replicas_seen = ref 0 in
+  let attack_sent =
+    Scenario.syn_flood ~seed:4 ~peak_pps ~start:0.5 ~ramp_up:1.0 ~hold:1.5
+      ~ramp_down:1.0 net
+  in
+  let scrubbed_of dev = Int64.to_int (Apps.Syn_defense.dropped_count dev) in
+  (* scrub totals survive replica retirement *)
   let scrubbed_acc = ref 0 in
-  (* replica churn goes through the controller, i.e. install/remove
-     plans executed by the reconfiguration engine *)
-  let actuate =
-    Control.Elastic.app_actuator
-      ~on_retire:(fun dev ->
-        scrubbed_acc :=
-          !scrubbed_acc + Int64.to_int (Apps.Syn_defense.dropped_count dev))
-      ~controller ~uri ~devices:switches ()
-  in
-  let scale_to n =
-    let n = min n (List.length switches) in
-    actuate n;
-    replicas := n;
-    max_replicas_seen := max !max_replicas_seen n
-  in
-  let last_victim = ref 0 in
-  let sample () =
-    let now_us = Int64.of_float (Netsim.Sim.now sim *. 1e6) in
-    if !replicas > 0 then
-      Int64.to_float
-        (Apps.Syn_defense.syn_rate_of (List.hd switches)
-           ~dst:(Int64.of_int h1.Netsim.Node.id) ~now_us)
-      *. 10.
-    else begin
-      let delta = !victim_syns - !last_victim in
-      last_victim := !victim_syns;
-      float_of_int delta *. 10.
-    end
-  in
-  let _policy =
-    Control.Elastic.create ~sim ~name:"defense" ~min_replicas:0 ~max_replicas:3
-      ~cooldown:0.3 ~period:0.1 ~sample ~capacity_per_replica:8000. ~scale_to ()
+  let defense =
+    Scenario.elastic_defense ~name:"defense"
+      ~on_retire:(fun dev -> scrubbed_acc := !scrubbed_acc + scrubbed_of dev)
+      ~victim:(fun () -> !victim_syns) net
   in
   Flexnet.run net ~until:5.0;
+  let policy = defense.Scenario.policy in
   let scrubbed =
-    !scrubbed_acc
-    + List.fold_left
-        (fun acc d -> acc + Int64.to_int (Apps.Syn_defense.dropped_count d))
-        0 switches
+    List.fold_left
+      (fun acc d -> acc + scrubbed_of d)
+      !scrubbed_acc (Flexnet.switch_devices net)
   in
   [ Printf.sprintf "%.0fk" (peak_pps /. 1000.);
     Report.i !attack_sent;
     Report.i scrubbed;
     Report.pct (float_of_int scrubbed /. float_of_int (max 1 !attack_sent));
-    Report.i !max_replicas_seen;
-    Report.i !replicas ]
+    Report.i
+      (List.fold_left (fun m (_, n) -> max m n) 0
+         (Control.Elastic.events policy));
+    Report.i (Control.Elastic.replicas policy) ]
 
 let run () =
   let rows = List.map run_case [ 2_000.; 8_000.; 20_000. ] in

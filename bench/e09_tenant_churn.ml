@@ -11,19 +11,12 @@
    lost (must be zero — changes are hitless). *)
 
 let run_case ~lambda =
-  let net = Flexnet.create ~arch:Targets.Arch.Drmt ~switches:3 () in
-  (match Flexnet.deploy_infrastructure net with
-   | Ok _ -> ()
-   | Error e -> failwith e);
+  let net = Scenario.up () in
   let sim = Flexnet.sim net in
-  let h0 = Flexnet.h0 net and h1 = Flexnet.h1 net in
-  let sent = ref 0 in
-  let gen = Netsim.Traffic.create sim in
-  Netsim.Traffic.cbr gen ~rate_pps:2_000. ~start:0. ~stop:4.0 ~send:(fun () ->
-      incr sent;
-      Flexnet.send_h0 net
-        (Common.h0_h1_packet ~h0:h0.Netsim.Node.id ~h1:h1.Netsim.Node.id
-           ~born:(Netsim.Sim.now sim)));
+  let sent =
+    Scenario.cbr sim ~h0:(Flexnet.h0 net) ~h1:(Flexnet.h1 net)
+      ~rate_pps:2_000. ~stop:4.0
+  in
   let rng = Random.State.make [| 31 |] in
   let counter = ref 0 in
   let durations = Netsim.Stats.Summary.create () in
@@ -61,7 +54,7 @@ let run_case ~lambda =
     Report.i (!sent - stats.Flexnet.delivered_h1) ]
 
 (* Admission-policy comparison on the shared churn workload
-   (Common.churn_workload, the E18 generator): the same 200 arrivals —
+   (Scenario.churn_specs, the E18 generator): the same 200 arrivals —
    programs, sojourns, budgets, SLAs all fixed by the seed — admitted
    once by the market auction and once by the fixed-threshold policy.
    Alongside the outcome counts, the [tenants.admit_latency_ms]
@@ -79,7 +72,7 @@ let policy_row label (s : Common.churn_stats) =
     Printf.sprintf "%.2f" s.Common.ch_lat_p99 ]
 
 let run_policy_comparison () =
-  let workload () = Common.churn_workload ~seed:31 ~mean_sojourn:4.0 200 in
+  let workload () = Scenario.churn_specs ~seed:31 200 in
   (* single switch, as in E18: the offered load must overload the path
      for the policies to differ *)
   let market, _ =

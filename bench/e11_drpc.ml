@@ -17,9 +17,7 @@ let mk_fleet () =
             ~maps:[ map_decl ~key_arity:1 ~size:256 "repl" ]
             [ block "b" [ map_incr "repl" [ field "ipv4" "src" ] ] ])
       in
-      List.iteri
-        (fun o el -> ignore (Targets.Device.install dev ~ctx:prog ~order:o el))
-        prog.Flexbpf.Ast.pipeline;
+      ignore (Targets.Device.install_program dev prog);
       dev)
 
 let run_side ~n invoke =

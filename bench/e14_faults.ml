@@ -64,28 +64,13 @@ let run_case ~mode plan =
       Runtime.Drpc.invoke_dataplane reg "heartbeat" [] ~k:(fun _ -> ());
       Netsim.Sim.now sim < 2.0);
   (* E1's traffic and reconfiguration, under the fault plan *)
-  let sent = ref 0 in
-  let gen = Netsim.Traffic.create sim in
-  Netsim.Traffic.cbr gen ~rate_pps:10_000. ~start:0. ~stop:2.0 ~send:(fun () ->
-      incr sent;
-      Netsim.Node.send h0 ~port:0
-        (Common.h0_h1_packet ~h0:h0.Netsim.Node.id ~h1:h1.Netsim.Node.id
-           ~born:(Netsim.Sim.now sim)));
+  let sent = Scenario.cbr sim ~h0 ~h1 ~rate_pps:10_000. ~stop:2.0 in
   let s1 = List.nth devs 1 in
-  let counter = block "cnt" [ map_incr "hits" [ const 0 ] ] in
-  let prog =
-    program "p" ~maps:[ map_decl ~key_arity:1 ~size:4 "hits" ] [ counter ]
-  in
-  let plan_ =
-    Compiler.Plan.v "add"
-      [ Compiler.Plan.Install
-          { device = "s1"; element = counter; ctx = prog; order = 0 } ]
-  in
-  let stats = Netsim.Stats.Counters.create () in
+  let plan_ = Common.add_counter_plan () in
   let outcome = ref None in
   Netsim.Sim.at sim 1.0 (fun () ->
       Runtime.Reconfig.execute_plan ~sim ~mode ~wireds ~plan:plan_ ~max_retries:3
-        ~retry_backoff:0.02 ~stats
+        ~retry_backoff:0.02
         ~on_done:(fun o -> outcome := Some o) ());
   ignore (Netsim.Sim.run sim);
   let o = Option.get !outcome in
@@ -101,8 +86,8 @@ let run_case ~mode plan =
     attempts = o.Runtime.Reconfig.attempts;
     rolled_back = o.Runtime.Reconfig.rolled_back;
     consistent;
-    drpc_retries = Netsim.Stats.Counters.get (Runtime.Drpc.stats reg) "drpc.retries";
-    drpc_gaveups = Netsim.Stats.Counters.get (Runtime.Drpc.stats reg) "drpc.gaveups" }
+    drpc_retries = Obs.Metrics.get_counter (Runtime.Drpc.stats reg) "drpc.retries";
+    drpc_gaveups = Obs.Metrics.get_counter (Runtime.Drpc.stats reg) "drpc.gaveups" }
 
 (* Deploy (not patch) under a crash: the plan comes from the pure
    placement planner over the wired path and runs through the same
@@ -115,13 +100,7 @@ let run_deploy_case ~mode fault_plan =
   List.iter
     (fun w -> Netsim.Faults.bind_node_links faults w.Runtime.Wiring.node)
     wireds;
-  let sent = ref 0 in
-  let gen = Netsim.Traffic.create sim in
-  Netsim.Traffic.cbr gen ~rate_pps:10_000. ~start:0. ~stop:2.0 ~send:(fun () ->
-      incr sent;
-      Netsim.Node.send h0 ~port:0
-        (Common.h0_h1_packet ~h0:h0.Netsim.Node.id ~h1:h1.Netsim.Node.id
-           ~born:(Netsim.Sim.now sim)));
+  let sent = Scenario.cbr sim ~h0 ~h1 ~rate_pps:10_000. ~stop:2.0 in
   let prog =
     program "d"
       ~maps:[ map_decl ~key_arity:1 ~size:4 "hits" ]
@@ -135,11 +114,10 @@ let run_deploy_case ~mode fault_plan =
     | Error _ -> failwith "deploy planning failed"
   in
   let plan_ = planned.Compiler.Placement.pln_plan in
-  let stats = Netsim.Stats.Counters.create () in
   let outcome = ref None in
   Netsim.Sim.at sim 1.0 (fun () ->
       Runtime.Reconfig.execute_plan ~sim ~mode ~wireds ~plan:plan_
-        ~max_retries:3 ~retry_backoff:0.02 ~stats
+        ~max_retries:3 ~retry_backoff:0.02
         ~on_done:(fun o -> outcome := Some o) ());
   ignore (Netsim.Sim.run sim);
   let o = Option.get !outcome in

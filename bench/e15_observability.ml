@@ -13,8 +13,6 @@
    harness's own stopwatch. The full trace is dumped as JSONL for the
    CI artifact. *)
 
-open Flexbpf.Builder
-
 let trace_file = "BENCH_e15_trace.jsonl"
 
 (* -- part 1: hot-path overhead ------------------------------------------ *)
@@ -22,9 +20,7 @@ let trace_file = "BENCH_e15_trace.jsonl"
 let mk_device () =
   let dev = Targets.Device.create ~id:"d0" Targets.Arch.drmt in
   let prog = Apps.L2l3.program () in
-  List.iteri
-    (fun i el -> ignore (Targets.Device.install dev ~ctx:prog ~order:i el))
-    prog.Flexbpf.Ast.pipeline;
+  ignore (Targets.Device.install_program dev prog);
   Flexbpf.Interp.install_rule (Targets.Device.env dev) "ipv4_lpm"
     (Apps.L2l3.route_rule ~host_id:2 ~port:1);
   dev
@@ -62,22 +58,8 @@ let overhead_rows () =
 
 let traced_reconfig mode =
   let sim, _topo, h0, h1, _devs, wireds, received = Common.wired_linear () in
-  let sent = ref 0 in
-  let gen = Netsim.Traffic.create sim in
-  Netsim.Traffic.cbr gen ~rate_pps:10_000. ~start:0. ~stop:2.0 ~send:(fun () ->
-      incr sent;
-      Netsim.Node.send h0 ~port:0
-        (Common.h0_h1_packet ~h0:h0.Netsim.Node.id ~h1:h1.Netsim.Node.id
-           ~born:(Netsim.Sim.now sim)));
-  let counter = block "cnt" [ map_incr "hits" [ const 0 ] ] in
-  let prog =
-    program "p" ~maps:[ map_decl ~key_arity:1 ~size:4 "hits" ] [ counter ]
-  in
-  let plan =
-    Compiler.Plan.v "add"
-      [ Compiler.Plan.Install
-          { device = "s1"; element = counter; ctx = prog; order = 0 } ]
-  in
+  let sent = Scenario.cbr sim ~h0 ~h1 ~rate_pps:10_000. ~stop:2.0 in
+  let plan = Common.add_counter_plan () in
   Netsim.Sim.at sim 1.0 (fun () ->
       Runtime.Reconfig.execute_plan ~sim ~mode ~wireds ~plan ());
   ignore (Netsim.Sim.run sim);

@@ -43,89 +43,27 @@ let config () =
     { c_k = 16; c_until = 0.05; c_lambda = 10_000.; c_locality = 0.8;
       c_domains = domain_counts ~default:[ 1; 2; 4; 8 ] () }
 
-let cms_cfg = { Apps.Cm_sketch.depth = 3; width = 1024; map_name = "cms" }
-
-(* Build one sharded fat tree: a count-min device behind every switch
-   and a seeded Poisson source on every host. All seeds key off spec
-   node ids, so the workload is identical whatever the partition or
-   domain count. *)
+(* One sharded fat tree: a count-min device (3 x 1024) behind every
+   switch and a seeded Poisson source on every host. *)
 let build_net cfg =
-  let net =
-    Netsim.Shard.Fat_tree.create ~k:cfg.c_k ~core_delay:25e-6 ()
-  in
-  let spec = Netsim.Shard.Fat_tree.spec net in
-  let part = Netsim.Shard.Fat_tree.pods_partition net in
-  let shards = Netsim.Shard.partition_shards part in
-  let delivered = Array.make shards 0 in
-  let sent = Array.make shards 0 in
-  let all_hosts = Netsim.Shard.Fat_tree.hosts net in
+  let delivered = Array.make cfg.c_k 0 (* one shard per pod *) in
   let t =
-    Netsim.Shard.build spec part ~init:(fun view ->
+    Scenario.fabric ~k:cfg.c_k ~gen_seed:1000 ~dst_seed:77
+      ~lambda:cfg.c_lambda ~locality:cfg.c_locality ~until:cfg.c_until
+      ~on_deliver:(fun shard -> delivered.(shard) <- delivered.(shard) + 1)
+      ~on_switch:(fun view node ->
         let sim = view.Netsim.Shard.sh_sim in
-        let shard = view.Netsim.Shard.sh_index in
-        (* one count-min device per local switch *)
-        let devs = Hashtbl.create 64 in
-        Array.iteri
-          (fun id slot ->
-            match slot with
-            | Some node when Netsim.Shard.Spec.kind spec id = Netsim.Node.Switch ->
-              let dev =
-                Targets.Device.create ~id:node.Netsim.Node.name
-                  Targets.Arch.drmt
-              in
-              let prog = Apps.Cm_sketch.program ~cfg:cms_cfg () in
-              List.iteri
-                (fun i el ->
-                  ignore (Targets.Device.install dev ~ctx:prog ~order:i el))
-                prog.Flexbpf.Ast.pipeline;
-              Targets.Device.set_obs
-                ~labels:[ ("shard", string_of_int shard) ]
-                dev
-                (Some (Netsim.Sim.obs sim));
-              Hashtbl.replace devs id dev
-            | _ -> ())
-          view.Netsim.Shard.sh_nodes;
-        Netsim.Shard.Fat_tree.install net view
-          ~on_switch:(fun node pkt ->
-            let dev = Hashtbl.find devs node.Netsim.Node.id in
-            let now_us =
-              Int64.of_float (Netsim.Sim.now sim *. 1e6)
-            in
-            ignore (Targets.Device.exec dev ~now_us pkt))
-          ~on_deliver:(fun _node _pkt ->
-            delivered.(shard) <- delivered.(shard) + 1);
-        (* seeded Poisson sources on local hosts *)
-        Array.iter
-          (fun h ->
-            match view.Netsim.Shard.sh_nodes.(h) with
-            | None -> ()
-            | Some host ->
-              let gen = Netsim.Traffic.create ~seed:(1000 + h) sim in
-              let rng = Random.State.make [| 77; h |] in
-              let pod =
-                Netsim.Shard.Fat_tree.pod_hosts net
-                  (Netsim.Shard.Fat_tree.pod_of_host net h)
-              in
-              Netsim.Traffic.poisson gen ~lambda:cfg.c_lambda ~start:0.
-                ~stop:cfg.c_until ~send:(fun () ->
-                  let pick arr =
-                    arr.(Random.State.int rng (Array.length arr))
-                  in
-                  let dst =
-                    if Random.State.float rng 1.0 < cfg.c_locality then
-                      pick pod
-                    else pick all_hosts
-                  in
-                  if dst <> h then begin
-                    sent.(shard) <- sent.(shard) + 1;
-                    Netsim.Node.send host ~port:0
-                      (Netsim.Traffic.tcp_packet ~src:h ~dst
-                         ~sport:(1024 + (h land 0xfff)) ~dport:80
-                         ~born:(Netsim.Sim.now sim) ())
-                  end))
-          all_hosts)
+        let dev = Scenario.count_min_device ~width:1024 node.Netsim.Node.name in
+        Targets.Device.set_obs
+          ~labels:[ ("shard", string_of_int view.Netsim.Shard.sh_index) ]
+          dev
+          (Some (Netsim.Sim.obs sim));
+        fun pkt ->
+          let now_us = Int64.of_float (Netsim.Sim.now sim *. 1e6) in
+          ignore (Targets.Device.exec dev ~now_us pkt))
+      ()
   in
-  (t, delivered, sent)
+  (t, delivered)
 
 type outcome = {
   o_domains : int;
@@ -137,13 +75,11 @@ type outcome = {
 }
 
 let run_once cfg ~domains =
-  let t, delivered, sent = build_net cfg in
+  let t, delivered = build_net cfg in
   let wall0 = Unix.gettimeofday () in
   let stats = Netsim.Shard.run ~domains ~until:cfg.c_until t in
   let wall = Unix.gettimeofday () -. wall0 in
   let total_delivered = Array.fold_left ( + ) 0 delivered in
-  let total_sent = Array.fold_left ( + ) 0 sent in
-  ignore total_sent;
   { o_domains = domains; o_wall = wall;
     o_pps = float_of_int total_delivered /. Float.max 1e-9 wall;
     o_delivered = total_delivered; o_stats = stats;
@@ -193,9 +129,9 @@ let run () =
     Printf.eprintf
       "E16: this host recommends a single domain; speedups below measure \
        scheduling overhead only (determinism gate still applies)\n%!";
-  let net = Netsim.Shard.Fat_tree.create ~k:cfg.c_k () in
-  let switches = Netsim.Shard.Fat_tree.switch_count net in
-  let hosts = Array.length (Netsim.Shard.Fat_tree.hosts net) in
+  (* k-ary fat tree: 5k^2/4 switches, k^3/4 hosts *)
+  let switches = 5 * cfg.c_k * cfg.c_k / 4 in
+  let hosts = cfg.c_k * cfg.c_k * cfg.c_k / 4 in
   let outcomes = List.map (fun d -> run_once cfg ~domains:d) cfg.c_domains in
   let base = List.hd outcomes in
   let deterministic =

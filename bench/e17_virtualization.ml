@@ -23,8 +23,6 @@
 
    Results land in BENCH_e17.json for the CI artifact. *)
 
-open Flexbpf.Builder
-
 let out_file = "BENCH_e17.json"
 
 type cfg = {
@@ -45,22 +43,6 @@ let config () =
     { c_rules = 4096; c_packets = 200_000; c_alpha = 1.4;
       c_fracs = [ 0.02; 0.05; 0.10; 0.20; 0.50 ]; c_gate_hit = 0.90 }
 
-let table_name = "fwd"
-let port_of_dst dst = 1 + (dst mod 64)
-
-let forwarding_program n =
-  program "e17" ~headers:standard_headers ~parser:standard_parser
-    [ table table_name
-        ~keys:[ exact (field "ipv4" "dst") ]
-        ~actions:[ action "fwd" ~params:[ "port" ] [ forward (param "port") ] ]
-        ~size:n () ]
-
-let install_rules env n =
-  for dst = 1 to n do
-    Flexbpf.Interp.install_rule env table_name
-      (rule ~matches:[ exact_i dst ] ~action:("fwd", [ port_of_dst dst ]) ())
-  done
-
 (* One measured run at device-tier capacity [cap] (0 = flat store) over
    the pre-drawn destination stream. A fresh env + compile per row keeps
    tier telemetry and cache warmth independent across rows. *)
@@ -80,11 +62,7 @@ type row = {
 let batch = 256
 
 let run_once cfg ~cap ~dsts ~pkts =
-  let prog = forwarding_program cfg.c_rules in
-  let env = Flexbpf.Interp.create_env prog in
-  install_rules env cfg.c_rules;
-  if cap > 0 then Flexbpf.Interp.set_tier_capacity env table_name cap;
-  let compiled = Flexbpf.Compile.compile env prog in
+  let _env, compiled = Scenario.tiered_table ~rules:cfg.c_rules ~cap in
   let m = Array.length dsts in
   let wrong = ref 0 in
   let batch_ns = ref [] in
@@ -93,7 +71,8 @@ let run_once cfg ~cap ~dsts ~pkts =
   for i = 0 to m - 1 do
     let dst = dsts.(i) in
     let r = Flexbpf.Compile.run compiled pkts.(dst - 1) in
-    if r.Flexbpf.Interp.verdict.Flexbpf.Interp.egress <> Some (port_of_dst dst)
+    if r.Flexbpf.Interp.verdict.Flexbpf.Interp.egress
+       <> Some (Scenario.port_of_dst dst)
     then incr wrong;
     if (i + 1) mod batch = 0 then begin
       let t1 = Unix.gettimeofday () in
@@ -158,14 +137,9 @@ let run () =
   let cfg = config () in
   (* the destination stream is drawn once and replayed for every row, so
      rows differ only in tier capacity *)
-  let sim = Netsim.Sim.create () in
-  let gen = Netsim.Traffic.create ~seed:1717 sim in
-  let draw = Netsim.Traffic.zipf ~alpha:cfg.c_alpha gen ~n:cfg.c_rules in
-  let dsts = Array.init cfg.c_packets (fun _ -> draw ()) in
-  let pkts =
-    Array.init cfg.c_rules (fun i ->
-        Netsim.Traffic.tcp_packet ~src:7 ~dst:(i + 1) ~sport:1234 ~dport:80
-          ~born:0. ())
+  let dsts, pkts =
+    Scenario.zipf_stream ~alpha:cfg.c_alpha ~rules:cfg.c_rules
+      ~packets:cfg.c_packets
   in
   let flat = run_once cfg ~cap:0 ~dsts ~pkts in
   let rows =

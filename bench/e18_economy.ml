@@ -13,7 +13,7 @@
    by an order of magnitude.
 
    Three runs over the same seeded workload generator
-   (Common.churn_workload — deterministic programs, sojourns, budgets,
+   (Scenario.churn_specs — deterministic programs, sojourns, budgets,
    SLAs):
    - market, ~100 arrivals (the latency yardstick);
    - market, >=1000 arrivals (full mode; CI smoke shrinks both runs
@@ -36,17 +36,14 @@ type cfg = {
   c_small : int; (* arrivals in the yardstick run *)
   c_large : int; (* arrivals in the scale run *)
   c_lambda : float; (* arrival rate, 1/s of virtual time *)
-  c_sojourn : float; (* mean tenant lifetime; lambda * sojourn = offered
-                        concurrency, chosen to overload the switches so
-                        admission policy decides utilization *)
 }
 
 let smoke () = Sys.getenv_opt "E18_SMOKE" <> None
 
 let config () =
   if smoke () then
-    { c_small = 30; c_large = 300; c_lambda = 60.; c_sojourn = 4.0 }
-  else { c_small = 100; c_large = 1000; c_lambda = 100.; c_sojourn = 4.0 }
+    { c_small = 30; c_large = 300; c_lambda = 60. }
+  else { c_small = 100; c_large = 1000; c_lambda = 100. }
 
 let row label (s : Common.churn_stats) =
   [ label;
@@ -80,7 +77,7 @@ let json_stats oc label (s : Common.churn_stats) =
 let run () =
   let cfg = config () in
   let workload n =
-    Common.churn_workload ~seed:31 ~mean_sojourn:cfg.c_sojourn n
+    Scenario.churn_specs ~seed:31 n
   in
   (* one switch, so the offered concurrency genuinely overloads it and
      admission policy — not raw capacity — decides utilization *)

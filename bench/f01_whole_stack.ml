@@ -31,11 +31,8 @@ let whole_stack_program () =
     )
 
 let run () =
-  let net = Flexnet.create ~arch:Targets.Arch.Drmt ~switches:3 () in
   (* infra first, then the figure-1 program as an additional datapath *)
-  (match Flexnet.deploy_infrastructure net with
-   | Ok _ -> ()
-   | Error e -> failwith e);
+  let net = Scenario.up () in
   Runtime.Drpc.register_standard (Flexnet.drpc net) ~fleet:(Flexnet.path net)
     ~map_name:"flow_bytes";
   let prog = whole_stack_program () in
@@ -53,7 +50,8 @@ let run () =
   let h0 = Flexnet.h0 net and h1 = Flexnet.h1 net in
   for _ = 1 to 100 do
     Flexnet.send_h0 net
-      (Common.h0_h1_packet ~h0:h0.Netsim.Node.id ~h1:h1.Netsim.Node.id ~born:0.)
+      (Netsim.Traffic.tcp_packet ~src:h0.Netsim.Node.id ~dst:h1.Netsim.Node.id
+         ~sport:1234 ~dport:80 ~born:0. ())
   done;
   Flexnet.run net ~until:1.0;
   let sla = Compiler.Sla.estimate placement in

@@ -234,15 +234,7 @@ let benchmarks =
 let strip_group name =
   String.concat "" (String.split_on_char '/' name |> List.tl)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_escape = Obs.Export.json_escape
 
 let write_json path estimates speedups =
   let oc = open_out path in

@@ -108,49 +108,45 @@ let file_arg =
   Arg.(required & pos 0 (some file) None
        & info [] ~docv:"FILE" ~doc:"FlexBPF surface-syntax program file")
 
+(* Read and load a program file; on failure report it and exit [code]. *)
+let load_program ?(code = 1) path =
+  let src = In_channel.with_open_text path In_channel.input_all in
+  match Flexbpf.Syntax.load src with
+  | Ok p -> p
+  | Error e ->
+    Printf.eprintf "%s: %s\n" path e;
+    exit code
+
 let certify_cmd =
   let run path =
-    let src = In_channel.with_open_text path In_channel.input_all in
-    match Flexbpf.Syntax.load src with
+    let p = load_program path in
+    match Flexbpf.Analysis.certify p with
     | Error e ->
-      Printf.eprintf "%s: %s\n" path e;
+      Printf.printf "%s: REJECTED — %s\n" p.Flexbpf.Ast.prog_name
+        (Fmt.str "%a" Flexbpf.Analysis.pp_rejection e);
       exit 1
-    | Ok p ->
-      (match Flexbpf.Analysis.certify p with
-       | Error e ->
-         Printf.printf "%s: REJECTED — %s\n" p.Flexbpf.Ast.prog_name
-           (Fmt.str "%a" Flexbpf.Analysis.pp_rejection e);
-         exit 1
-       | Ok cert ->
-         let fp = cert.Flexbpf.Analysis.cert_footprint in
-         Printf.printf "%s (owner %s): certified\n" p.Flexbpf.Ast.prog_name
-           p.Flexbpf.Ast.owner;
-         Printf.printf "  worst-case cycles : %d\n" cert.Flexbpf.Analysis.cert_cycles;
-         Printf.printf "  sram / tcam       : %d / %d bytes\n"
-           fp.Flexbpf.Analysis.sram_bytes fp.Flexbpf.Analysis.tcam_bytes;
-         Printf.printf "  elements / maps   : %d / %d\n"
-           (List.length p.Flexbpf.Ast.pipeline)
-           (List.length p.Flexbpf.Ast.maps);
-         (* where could it run? try a single device of each class *)
-         Printf.printf "  admissible on     : %s\n"
-           (String.concat ", "
-              (List.filter_map
-                 (fun kind ->
-                   let dev =
-                     Targets.Device.create (Targets.Arch.profile_of_kind kind)
-                   in
-                   let ok =
-                     List.for_all
-                       (fun el ->
-                         match
-                           Targets.Device.install dev ~ctx:p ~order:0 el
-                         with
-                         | Ok _ -> true
-                         | Error _ -> false)
-                       p.Flexbpf.Ast.pipeline
-                   in
-                   if ok then Some (Targets.Arch.kind_to_string kind) else None)
-                 Targets.Arch.all_kinds)))
+    | Ok cert ->
+      let fp = cert.Flexbpf.Analysis.cert_footprint in
+      Printf.printf "%s (owner %s): certified\n" p.Flexbpf.Ast.prog_name
+        p.Flexbpf.Ast.owner;
+      Printf.printf "  worst-case cycles : %d\n" cert.Flexbpf.Analysis.cert_cycles;
+      Printf.printf "  sram / tcam       : %d / %d bytes\n"
+        fp.Flexbpf.Analysis.sram_bytes fp.Flexbpf.Analysis.tcam_bytes;
+      Printf.printf "  elements / maps   : %d / %d\n"
+        (List.length p.Flexbpf.Ast.pipeline)
+        (List.length p.Flexbpf.Ast.maps);
+      (* where could it run? try a single device of each class *)
+      Printf.printf "  admissible on     : %s\n"
+        (String.concat ", "
+           (List.filter_map
+              (fun kind ->
+                let dev =
+                  Targets.Device.create (Targets.Arch.profile_of_kind kind)
+                in
+                if Result.is_ok (Targets.Device.install_program dev p) then
+                  Some (Targets.Arch.kind_to_string kind)
+                else None)
+              Targets.Arch.all_kinds))
   in
   Cmd.v
     (Cmd.info "certify"
@@ -240,55 +236,47 @@ let lint_cmd =
 
 let inject_cmd =
   let run path =
-    let src = In_channel.with_open_text path In_channel.input_all in
-    match Flexbpf.Syntax.load src with
+    let ext = load_program path in
+    let net = Scenario.up () in
+    Printf.printf "network up; admitting tenant '%s' from %s...\n"
+      ext.Flexbpf.Ast.owner path;
+    match Flexnet.add_tenant net ext with
     | Error e ->
-      Printf.eprintf "%s: %s\n" path e;
+      Printf.printf "rejected: %s\n"
+        (Fmt.str "%a" Control.Tenants.pp_admission_error e);
       exit 1
-    | Ok ext ->
-      let net = Flexnet.create ~arch:Targets.Arch.Drmt ~switches:3 () in
-      (match Flexnet.deploy_infrastructure net with
-       | Ok _ -> ()
-       | Error e -> failwith e);
-      Printf.printf "network up; admitting tenant '%s' from %s...\n"
-        ext.Flexbpf.Ast.owner path;
-      (match Flexnet.add_tenant net ext with
+    | Ok (tenant, report) ->
+      Printf.printf "admitted: vlan %d, %d ops, %.0f ms, devices %s\n"
+        tenant.Control.Tenants.vlan
+        (Compiler.Plan.size report.Compiler.Incremental.plan)
+        (1000. *. report.Compiler.Incremental.duration)
+        (String.concat "," report.Compiler.Incremental.touched_devices);
+      List.iter
+        (fun name ->
+          let host =
+            List.find_opt
+              (fun d -> List.mem name (Targets.Device.installed_names d))
+              (Flexnet.path net)
+          in
+          Printf.printf "  %-30s -> %s\n" name
+            (match host with
+             | Some d -> Targets.Device.id d
+             | None -> "(not placed)"))
+        tenant.Control.Tenants.element_names;
+      let h0 = Flexnet.h0 net and h1 = Flexnet.h1 net in
+      for _ = 1 to 50 do
+        Flexnet.send_h0 net
+          (Netsim.Traffic.tcp_packet ~src:h0.Netsim.Node.id
+             ~dst:h1.Netsim.Node.id ~sport:1234 ~dport:80 ~born:0. ())
+      done;
+      Flexnet.run net ~until:1.0;
+      Printf.printf "untagged traffic delivered: %d/50\n"
+        (Flexnet.stats net).Flexnet.delivered_h1;
+      (match Flexnet.remove_tenant net tenant.Control.Tenants.tenant_name with
+       | Ok _ -> Printf.printf "tenant departed cleanly\n"
        | Error e ->
-         Printf.printf "rejected: %s\n"
-           (Fmt.str "%a" Control.Tenants.pp_admission_error e);
-         exit 1
-       | Ok (tenant, report) ->
-         Printf.printf "admitted: vlan %d, %d ops, %.0f ms, devices %s\n"
-           tenant.Control.Tenants.vlan
-           (Compiler.Plan.size report.Compiler.Incremental.plan)
-           (1000. *. report.Compiler.Incremental.duration)
-           (String.concat "," report.Compiler.Incremental.touched_devices);
-         List.iter
-           (fun name ->
-             let host =
-               List.find_opt
-                 (fun d -> List.mem name (Targets.Device.installed_names d))
-                 (Flexnet.path net)
-             in
-             Printf.printf "  %-30s -> %s\n" name
-               (match host with
-                | Some d -> Targets.Device.id d
-                | None -> "(not placed)"))
-           tenant.Control.Tenants.element_names;
-         let h0 = Flexnet.h0 net and h1 = Flexnet.h1 net in
-         for _ = 1 to 50 do
-           Flexnet.send_h0 net
-             (Netsim.Traffic.tcp_packet ~src:h0.Netsim.Node.id
-                ~dst:h1.Netsim.Node.id ~sport:1234 ~dport:80 ~born:0. ())
-         done;
-         Flexnet.run net ~until:1.0;
-         Printf.printf "untagged traffic delivered: %d/50\n"
-           (Flexnet.stats net).Flexnet.delivered_h1;
-         (match Flexnet.remove_tenant net tenant.Control.Tenants.tenant_name with
-          | Ok _ -> Printf.printf "tenant departed cleanly\n"
-          | Error e ->
-            Printf.printf "departure failed: %s\n"
-              (Fmt.str "%a" Control.Tenants.pp_departure_error e)))
+         Printf.printf "departure failed: %s\n"
+           (Fmt.str "%a" Control.Tenants.pp_departure_error e))
   in
   Cmd.v
     (Cmd.info "inject"
@@ -308,67 +296,15 @@ let switches_arg =
 
 (* -- plan --------------------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let table_json_arg =
+  Arg.(value & opt (enum [ ("table", `Table); ("json", `Json) ]) `Table
+       & info [ "format" ] ~docv:"FMT"
+           ~doc:"Output format: $(b,table) or $(b,json)")
 
-(* Append a program's maps, parser rules, and elements to the live
-   infrastructure — the patch shape tenant admission uses. Headers,
-   parser rules, and maps the base program already declares are
-   skipped. *)
-let extension_patch ~(base : Flexbpf.Ast.program) (ext : Flexbpf.Ast.program) =
-  let new_headers =
-    List.filter
-      (fun (h : Flexbpf.Ast.header_decl) ->
-        not
-          (List.exists
-             (fun (b : Flexbpf.Ast.header_decl) ->
-               b.Flexbpf.Ast.hdr_name = h.Flexbpf.Ast.hdr_name)
-             base.Flexbpf.Ast.headers))
-      ext.Flexbpf.Ast.headers
-  in
-  let new_parser =
-    List.filter
-      (fun (r : Flexbpf.Ast.parser_rule) ->
-        not
-          (List.exists
-             (fun (b : Flexbpf.Ast.parser_rule) ->
-               b.Flexbpf.Ast.pr_name = r.Flexbpf.Ast.pr_name)
-             base.Flexbpf.Ast.parser))
-      ext.Flexbpf.Ast.parser
-  in
-  let new_maps =
-    List.filter
-      (fun (m : Flexbpf.Ast.map_decl) ->
-        not
-          (List.exists
-             (fun (b : Flexbpf.Ast.map_decl) ->
-               b.Flexbpf.Ast.map_name = m.Flexbpf.Ast.map_name)
-             base.Flexbpf.Ast.maps))
-      ext.Flexbpf.Ast.maps
-  in
-  Flexbpf.Patch.v ~owner:ext.Flexbpf.Ast.owner
-    ("plan-" ^ ext.Flexbpf.Ast.prog_name)
-    (List.map (fun h -> Flexbpf.Patch.Add_header h) new_headers
-     @ List.map (fun m -> Flexbpf.Patch.Add_map m) new_maps
-     @ List.map (fun r -> Flexbpf.Patch.Add_parser_rule r) new_parser
-     @ List.map
-         (fun el -> Flexbpf.Patch.Add_element (Flexbpf.Patch.At_end, el))
-         ext.Flexbpf.Ast.pipeline)
+let json_escape = Obs.Export.json_escape
+let json_map f xs = String.concat "," (List.map f xs)
 
 let plan_cmd =
-  let plan_format_arg =
-    Arg.(value & opt (enum [ ("table", `Table); ("json", `Json) ]) `Table
-         & info [ "format" ] ~docv:"FMT"
-             ~doc:"Output format: $(b,table) or $(b,json)")
-  in
   let candidates_arg =
     Arg.(value & opt int 3
          & info [ "candidates" ] ~docv:"K"
@@ -377,32 +313,28 @@ let plan_cmd =
   let plan_file_arg =
     Arg.(value & pos 0 (some file) None
          & info [] ~docv:"FILE"
-             ~doc:"FlexBPF program to append as an extension; without it a \
+             ~doc:"FlexBPF tenant program: plan the patch its admission \
+                   would apply (namespaced, VLAN-guarded); without it a \
                    built-in telemetry patch is planned")
   in
   let run arch switches format candidates file =
-    let net = Flexnet.create ~arch ~switches () in
-    (match Flexnet.deploy_infrastructure net with
-     | Ok _ -> ()
-     | Error e -> failwith e);
-    let dep = Flexnet.deployment_exn net in
+    let net = Scenario.up ~arch ~switches () in
     let patch =
       match file with
-      | None ->
-        Flexbpf.Patch.v "add-telemetry"
-          [ Flexbpf.Patch.Add_map Apps.Telemetry.flow_bytes_map;
-            Flexbpf.Patch.Add_element
-              (Flexbpf.Patch.Before (Flexbpf.Patch.Sel_name "ipv4_lpm"),
-               Apps.Telemetry.flow_counter) ]
+      | None -> Scenario.telemetry_patch
       | Some path ->
-        let src = In_channel.with_open_text path In_channel.input_all in
-        (match Flexbpf.Syntax.load src with
+        (* the patch admission would apply: namespaced, VLAN-guarded *)
+        (match
+           Control.Tenants.injection (Flexnet.tenants_exn net)
+             (load_program ~code:2 path)
+         with
+         | Ok (_, patch) -> patch
          | Error e ->
-           Printf.eprintf "%s: %s\n" path e;
-           exit 2
-         | Ok ext ->
-           extension_patch ~base:dep.Compiler.Incremental.dep_prog ext)
+           Fmt.epr "planning failed: %a@." Control.Tenants.pp_admission_error
+             e;
+           exit 1)
     in
+    let dep = Flexnet.deployment_exn net in
     (* pure planning only: nothing below touches a device *)
     match Compiler.Incremental.plan_patch ~candidates dep patch with
     | Error e ->
@@ -447,27 +379,25 @@ let plan_cmd =
              ck.Compiler.Plan.ck_ratio
        | `Json ->
          let ops =
-           String.concat ","
-             (List.map
-                (fun op ->
-                  Printf.sprintf
-                    "{\"op\":\"%s\",\"device\":\"%s\",\"time_s\":%.6f}"
-                    (json_escape (Compiler.Plan.op_name op))
-                    (json_escape (Compiler.Plan.op_device op))
-                    (Compiler.Plan.op_time (times_of (Compiler.Plan.op_device op)) op))
-                plan.Compiler.Plan.ops)
+           json_map
+             (fun op ->
+               Printf.sprintf
+                 "{\"op\":\"%s\",\"device\":\"%s\",\"time_s\":%.6f}"
+                 (json_escape (Compiler.Plan.op_name op))
+                 (json_escape (Compiler.Plan.op_device op))
+                 (Compiler.Plan.op_time (times_of (Compiler.Plan.op_device op)) op))
+             plan.Compiler.Plan.ops
          in
          let deltas =
-           String.concat ","
-             (List.map
-                (fun (d, r) ->
-                  Printf.sprintf
-                    "{\"device\":\"%s\",\"sram_bytes\":%d,\"tcam_bytes\":%d,\
-                     \"action_slots\":%d,\"instructions\":%d}"
-                    (json_escape d) r.Targets.Resource.sram_bytes
-                    r.Targets.Resource.tcam_bytes r.Targets.Resource.action_slots
-                    r.Targets.Resource.instructions)
-                cost.Compiler.Plan.c_deltas)
+           json_map
+             (fun (d, r) ->
+               Printf.sprintf
+                 "{\"device\":\"%s\",\"sram_bytes\":%d,\"tcam_bytes\":%d,\
+                  \"action_slots\":%d,\"instructions\":%d}"
+                 (json_escape d) r.Targets.Resource.sram_bytes
+                 r.Targets.Resource.tcam_bytes r.Targets.Resource.action_slots
+                 r.Targets.Resource.instructions)
+             cost.Compiler.Plan.c_deltas
          in
          Printf.printf
            "{\"plan\":\"%s\",\"candidates\":%d,\"total_work_s\":%.6f,\
@@ -486,45 +416,24 @@ let plan_cmd =
        ~doc:
          "Dry-run a patch: plan it over resource snapshots and print the \
           cost-annotated reconfiguration plan without executing it")
-    Term.(const run $ arch_arg $ switches_arg $ plan_format_arg
+    Term.(const run $ arch_arg $ switches_arg $ table_json_arg
           $ candidates_arg $ plan_file_arg)
 
 let demo_cmd =
   let run arch switches =
-    let net = Flexnet.create ~arch ~switches () in
-    (match Flexnet.deploy_infrastructure net with
-     | Ok dep ->
-       Printf.printf "deployed %d elements over %d devices\n"
-         (List.length dep.Compiler.Incremental.dep_placement.Compiler.Placement.where)
-         (List.length (Flexnet.path net))
-     | Error e -> failwith e);
-    let sim = Flexnet.sim net in
-    let h0 = Flexnet.h0 net and h1 = Flexnet.h1 net in
-    let sent = ref 0 in
-    let gen = Netsim.Traffic.create sim in
-    Netsim.Traffic.cbr gen ~rate_pps:1000. ~start:0. ~stop:2.0 ~send:(fun () ->
-        incr sent;
-        Flexnet.send_h0 net
-          (Netsim.Traffic.tcp_packet ~src:h0.Netsim.Node.id
-             ~dst:h1.Netsim.Node.id ~sport:1234 ~dport:80
-             ~born:(Netsim.Sim.now sim) ()));
-    let patch =
-      Flexbpf.Patch.v "add-telemetry"
-        [ Flexbpf.Patch.Add_map Apps.Telemetry.flow_bytes_map;
-          Flexbpf.Patch.Add_element
-            (Flexbpf.Patch.Before (Flexbpf.Patch.Sel_name "ipv4_lpm"),
-             Apps.Telemetry.flow_counter) ]
+    let net = Scenario.up ~arch ~switches () in
+    Printf.printf "deployed %d elements over %d devices\n"
+      (List.length
+         (Flexnet.deployment_exn net).Compiler.Incremental.dep_placement
+           .Compiler.Placement.where)
+      (List.length (Flexnet.path net));
+    let sent =
+      Scenario.demo_traffic net ~on_done:(fun r ->
+          Printf.printf "t=%.3fs: hitless patch done (%.0f ms, devices %s)\n"
+            (Netsim.Sim.now (Flexnet.sim net))
+            (1000. *. r.Compiler.Incremental.duration)
+            (String.concat "," r.Compiler.Incremental.touched_devices))
     in
-    Netsim.Sim.at sim 1.0 (fun () ->
-        match
-          Flexnet.patch_hitless net patch ~on_done:(fun r ->
-              Printf.printf "t=%.3fs: hitless patch done (%.0f ms, devices %s)\n"
-                (Netsim.Sim.now sim)
-                (1000. *. r.Compiler.Incremental.duration)
-                (String.concat "," r.Compiler.Incremental.touched_devices))
-        with
-        | Ok _ -> ()
-        | Error e -> Fmt.epr "patch failed: %a@." Compiler.Incremental.pp_error e);
     Flexnet.run net ~until:3.0;
     let stats = Flexnet.stats net in
     Printf.printf "sent %d, delivered %d, reconfig drops %d\n" !sent
@@ -539,97 +448,64 @@ let demo_cmd =
 (* -- metrics / trace ----------------------------------------------------- *)
 
 (* Shared observed workload for the metrics/trace subcommands: the demo
-   scenario (deploy, CBR traffic, a hitless telemetry patch at t=1)
-   plus a burst of dRPC calls, so every instrumented layer contributes
-   series and spans. *)
+   run plus a burst of dRPC calls, so every instrumented layer
+   contributes series and spans. *)
 let observed_workload ~arch ~switches =
-  let net = Flexnet.create ~arch ~switches () in
-  (match Flexnet.deploy_infrastructure net with
-   | Ok _ -> ()
-   | Error e -> failwith e);
-  let sim = Flexnet.sim net in
-  let h0 = Flexnet.h0 net and h1 = Flexnet.h1 net in
-  let gen = Netsim.Traffic.create sim in
-  Netsim.Traffic.cbr gen ~rate_pps:1000. ~start:0. ~stop:2.0 ~send:(fun () ->
-      Flexnet.send_h0 net
-        (Netsim.Traffic.tcp_packet ~src:h0.Netsim.Node.id
-           ~dst:h1.Netsim.Node.id ~sport:1234 ~dport:80
-           ~born:(Netsim.Sim.now sim) ()));
-  let patch =
-    Flexbpf.Patch.v "add-telemetry"
-      [ Flexbpf.Patch.Add_map Apps.Telemetry.flow_bytes_map;
-        Flexbpf.Patch.Add_element
-          (Flexbpf.Patch.Before (Flexbpf.Patch.Sel_name "ipv4_lpm"),
-           Apps.Telemetry.flow_counter) ]
-  in
-  Netsim.Sim.at sim 1.0 (fun () ->
-      match Flexnet.patch_hitless net patch with
-      | Ok _ -> ()
-      | Error e -> Fmt.epr "patch failed: %a@." Compiler.Incremental.pp_error e);
+  let net = Scenario.up ~arch ~switches () in
+  ignore (Scenario.demo_traffic net);
   let drpc = Flexnet.drpc net in
   Runtime.Drpc.register_standard drpc ~fleet:(Flexnet.path net)
     ~map_name:"flow_bytes";
-  Netsim.Sim.at sim 1.5 (fun () ->
+  Netsim.Sim.at (Flexnet.sim net) 1.5 (fun () ->
       for _ = 1 to 5 do
         Runtime.Drpc.invoke_dataplane drpc "heartbeat" [] ~k:(fun _ -> ())
       done);
   Flexnet.run net ~until:3.0;
   Flexnet.obs net
 
-(* With --shards N the metrics/trace subcommands switch to the
-   domain-sharded engine: an N-pod fat tree partitioned per pod with
-   seeded Poisson traffic, one OCaml domain per shard. Each shard keeps
-   its own registry/trace; the commands print the per-shard breakdown
-   and then the merged view (the merge is what a monolithic run would
-   have recorded). *)
+(* With --shards N the metrics/trace subcommands switch to the sharded
+   engine: a k=N fat tree partitioned into N per-pod shards with seeded
+   Poisson traffic, stepped on one domain. Each shard keeps its own
+   registry/trace; the commands print the per-shard breakdown and then
+   the merged view (the merge is what a monolithic run would have
+   recorded). *)
 let sharded_workload ~shards =
-  let module Shard = Netsim.Shard in
-  let k = max 2 (if shards mod 2 = 0 then shards else shards + 1) in
-  let net = Shard.Fat_tree.create ~k ~core_delay:25e-6 () in
-  let spec = Shard.Fat_tree.spec net in
-  let part = Shard.Fat_tree.pods_partition net in
   let until = 0.01 in
   let t =
-    Shard.build spec part ~init:(fun view ->
-        let sim = view.Shard.sh_sim in
-        Shard.Fat_tree.install net view
-          ~on_switch:(fun _ _ -> ())
-          ~on_deliver:(fun _ _ -> ());
-        Array.iter
-          (fun h ->
-            match view.Shard.sh_nodes.(h) with
-            | None -> ()
-            | Some host ->
-              let gen = Netsim.Traffic.create ~seed:(100 + h) sim in
-              let rng = Random.State.make [| 5; h |] in
-              let pod =
-                Shard.Fat_tree.pod_hosts net (Shard.Fat_tree.pod_of_host net h)
-              in
-              let all = Shard.Fat_tree.hosts net in
-              Netsim.Traffic.poisson gen ~lambda:5_000. ~start:0. ~stop:until
-                ~send:(fun () ->
-                  let pick arr =
-                    arr.(Random.State.int rng (Array.length arr))
-                  in
-                  let dst =
-                    if Random.State.float rng 1.0 < 0.7 then pick pod
-                    else pick all
-                  in
-                  if dst <> h then
-                    Netsim.Node.send host ~port:0
-                      (Netsim.Traffic.tcp_packet ~src:h ~dst ~sport:(1024 + h)
-                         ~dport:80 ~born:(Netsim.Sim.now sim) ())))
-          (Shard.Fat_tree.hosts net))
+    Scenario.fabric ~k:shards ~gen_seed:100 ~dst_seed:5 ~lambda:5_000.
+      ~locality:0.7 ~until ()
   in
-  ignore (Shard.run ~until t);
+  ignore (Netsim.Shard.run ~until t);
   t
 
+(* One section per shard: [show] renders that shard's observability
+   scope. *)
+let print_shards t show =
+  List.iter
+    (fun v ->
+      Printf.printf "== shard %d ==\n" v.Netsim.Shard.sh_index;
+      print_string (show (Netsim.Sim.obs v.Netsim.Shard.sh_sim));
+      print_newline ())
+    (Netsim.Shard.views t)
+
 let shards_arg =
-  Arg.(value & opt int 0
+  let even =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 2 && n mod 2 = 0 -> Ok n
+      | _ ->
+        Error
+          (`Msg
+            (Printf.sprintf "%s is not an even shard count of at least 2" s))
+    in
+    Arg.conv (parse, Fmt.int)
+  in
+  Arg.(value & opt (some even) None
        & info [ "shards" ] ~docv:"N"
            ~doc:
-             "Run the domain-sharded fat-tree workload on $(docv) per-pod \
-              shards (one OCaml domain each) and show the per-shard \
+             "Run the sharded fat-tree workload instead: a k=$(docv) fat \
+              tree cut into $(docv) per-pod shards ($(docv) even, at least \
+              2), all stepped on one OCaml domain; show the per-shard \
               breakdown followed by the merged view")
 
 let metrics_cmd =
@@ -647,20 +523,13 @@ let metrics_cmd =
       | `Table -> Obs.Export.metrics_table m
       | `Prometheus -> Obs.Export.prometheus m
     in
-    if shards > 0 then begin
+    match shards with
+    | Some shards ->
       let t = sharded_workload ~shards in
-      List.iter
-        (fun v ->
-          Printf.printf "== shard %d ==\n" v.Netsim.Shard.sh_index;
-          print_string
-            (export
-               (Obs.Scope.metrics (Netsim.Sim.obs v.Netsim.Shard.sh_sim)));
-          print_newline ())
-        (Netsim.Shard.views t);
+      print_shards t (fun obs -> export (Obs.Scope.metrics obs));
       Printf.printf "== merged (%d shards) ==\n" (Netsim.Shard.shards t);
       print_string (export (Netsim.Shard.merged_metrics t))
-    end
-    else
+    | None ->
       let scope = observed_workload ~arch ~switches in
       print_string (export (Obs.Scope.metrics scope))
   in
@@ -687,17 +556,11 @@ let trace_cmd =
       | `Jsonl -> Obs.Export.trace_jsonl tr
       | `Table -> Obs.Export.trace_table tr
     in
-    if shards > 0 then begin
-      let t = sharded_workload ~shards in
-      List.iter
-        (fun v ->
-          Printf.printf "== shard %d ==\n" v.Netsim.Shard.sh_index;
-          print_string
-            (export (Obs.Scope.trace (Netsim.Sim.obs v.Netsim.Shard.sh_sim)));
-          print_newline ())
-        (Netsim.Shard.views t)
-    end
-    else
+    match shards with
+    | Some shards ->
+      print_shards (sharded_workload ~shards) (fun obs ->
+          export (Obs.Scope.trace obs))
+    | None ->
       let scope = observed_workload ~arch ~switches in
       print_string (export (Obs.Scope.trace scope))
   in
@@ -717,59 +580,23 @@ let peak_arg =
 
 let attack_cmd =
   let run peak =
-    let net = Flexnet.create ~arch:Targets.Arch.Drmt ~switches:3 () in
-    (match Flexnet.deploy_infrastructure net with
-     | Ok _ -> ()
-     | Error e -> failwith e);
-    let sim = Flexnet.sim net in
-    let h0 = Flexnet.h0 net and h1 = Flexnet.h1 net in
-    let switches = Flexnet.switch_devices net in
+    let net = Scenario.up () in
     let victim = ref 0 in
-    Netsim.Node.set_handler h1 (fun _ ~in_port:_ _ -> incr victim);
-    let attack = Netsim.Traffic.create ~seed:3 sim in
-    Netsim.Traffic.ramp attack ~peak_pps:peak ~start:0.5 ~ramp_up:1.0 ~hold:1.5
-      ~ramp_down:1.0 ~send:(fun () ->
-        Netsim.Node.send h0 ~port:0
-          (Netsim.Traffic.spoofed_syn attack ~dst:h1.Netsim.Node.id ~dport:80
-             ~born:(Netsim.Sim.now sim)));
-    let defense = Apps.Syn_defense.program ~threshold:100 () in
-    let controller = Flexnet.controller net in
-    let uri = Control.Uri.v ~owner:"infra" "syn-defense" in
+    Netsim.Node.set_handler (Flexnet.h1 net) (fun _ ~in_port:_ _ ->
+        incr victim);
     ignore
-      (Control.Controller.register_app controller ~uri
-         ~kind:Control.Controller.Utility ~program:defense ~replicas:[]);
-    let replicas = ref 0 in
-    let actuate =
-      Control.Elastic.app_actuator ~controller ~uri ~devices:switches ()
-    in
-    let scale_to n =
-      let n = min n (List.length switches) in
-      actuate n;
-      Printf.printf "t=%.2fs: replicas -> %d\n" (Netsim.Sim.now sim) n;
-      replicas := n
-    in
-    let last = ref 0 in
-    let sample () =
-      if !replicas > 0 then
-        Int64.to_float
-          (Apps.Syn_defense.syn_rate_of (List.hd switches)
-             ~dst:(Int64.of_int h1.Netsim.Node.id)
-             ~now_us:(Int64.of_float (Netsim.Sim.now sim *. 1e6)))
-        *. 10.
-      else begin
-        let d = !victim - !last in
-        last := !victim;
-        float_of_int d *. 10.
-      end
-    in
-    let _ =
-      Control.Elastic.create ~sim ~name:"defense" ~min_replicas:0
-        ~max_replicas:3 ~cooldown:0.3 ~period:0.1 ~sample
-        ~capacity_per_replica:8000. ~scale_to ()
+      (Scenario.syn_flood ~seed:3 ~peak_pps:peak ~start:0.5 ~ramp_up:1.0
+         ~hold:1.5 ~ramp_down:1.0 net);
+    let defense =
+      Scenario.elastic_defense ~name:"defense" ~victim:(fun () -> !victim) net
     in
     Flexnet.run net ~until:5.0;
+    let policy = defense.Scenario.policy in
+    List.iter
+      (fun (t, n) -> Printf.printf "t=%.2fs: replicas -> %d\n" t n)
+      (Control.Elastic.events policy);
     Printf.printf "victim received %d packets; final replicas %d\n" !victim
-      !replicas
+      (Control.Elastic.replicas policy)
   in
   Cmd.v
     (Cmd.info "attack" ~doc:"Run the elastic DDoS defense scenario")
@@ -779,51 +606,15 @@ let attack_cmd =
 
 let migrate_cmd =
   let run () =
-    let cfg = { Apps.Cm_sketch.depth = 3; width = 512; map_name = "cms" } in
-    let mk id =
-      let dev = Targets.Device.create ~id Targets.Arch.drmt in
-      let prog = Apps.Cm_sketch.program ~cfg () in
-      List.iteri
-        (fun i el -> ignore (Targets.Device.install dev ~ctx:prog ~order:i el))
-        prog.Flexbpf.Ast.pipeline;
-      dev
-    in
     List.iter
-      (fun proto ->
-        let sim = Netsim.Sim.create () in
-        let src = mk "a" and dst = mk "b" in
-        let handle = Runtime.Migration.create src in
-        let rng = Random.State.make [| 1 |] in
-        let sent = ref 0 in
-        let gen = Netsim.Traffic.create sim in
-        Netsim.Traffic.cbr gen ~rate_pps:50_000. ~start:0. ~stop:1.0
-          ~send:(fun () ->
-            incr sent;
-            let s = Int64.of_int (Random.State.int rng 100) in
-            ignore
-              (Runtime.Migration.exec handle
-                 ~now_us:(Int64.of_float (Netsim.Sim.now sim *. 1e6))
-                 (Netsim.Packet.create
-                    [ Netsim.Packet.ethernet ~src:s ~dst:1L ();
-                      Netsim.Packet.ipv4 ~src:s ~dst:1L ();
-                      Netsim.Packet.tcp ~sport:1L ~dport:2L () ])));
-        Netsim.Sim.at sim 0.5 (fun () ->
-            match proto with
-            | `Freeze ->
-              Runtime.Migration.freeze_copy ~sim handle ~dst
-                ~map_names:[ "cms" ] ()
-            | `Swing ->
-              Runtime.Migration.swing ~sim handle ~dst ~map_names:[ "cms" ] ());
-        ignore (Netsim.Sim.run sim);
-        let expected = !sent * cfg.Apps.Cm_sketch.depth in
-        let present =
-          Int64.to_int
-            (Runtime.Migration.map_sum (Runtime.Migration.active handle) "cms")
+      (fun (proto, label) ->
+        let m =
+          Scenario.migrate_count_min ~seed:1 ~flows:100 ~pps:50_000. proto
         in
-        Printf.printf "%-12s expected %d, present %d, lost %d\n"
-          (match proto with `Freeze -> "freeze-copy" | `Swing -> "swing")
-          expected present (expected - present))
-      [ `Freeze; `Swing ]
+        Printf.printf "%-12s expected %d, present %d, lost %d\n" label
+          m.Scenario.expected m.Scenario.present
+          (m.Scenario.expected - m.Scenario.present))
+      [ (`Freeze, "freeze-copy"); (`Swing, "swing") ]
   in
   Cmd.v
     (Cmd.info "migrate" ~doc:"Compare state-migration protocols")
@@ -855,56 +646,25 @@ let tables_cmd =
     Arg.(value & opt float 1.4
          & info [ "alpha" ] ~docv:"A" ~doc:"Zipf skew of the workload")
   in
-  let tables_format_arg =
-    Arg.(value & opt (enum [ ("table", `Table); ("json", `Json) ]) `Table
-         & info [ "format" ] ~docv:"FMT"
-             ~doc:"Output format: $(b,table) or $(b,json)")
-  in
   let run rules cap packets alpha format =
-    let open Flexbpf.Builder in
-    let rules = Stdlib.max 2 rules in
-    let cap =
-      match cap with
-      | Some c -> Stdlib.max 1 c
-      | None -> Stdlib.max 1 (rules / 10)
-    in
-    let tbl_name = "fwd" in
-    let port_of dst = 1 + (dst mod 64) in
-    let prog =
-      program "tables" ~headers:standard_headers ~parser:standard_parser
-        [ table tbl_name
-            ~keys:[ exact (field "ipv4" "dst") ]
-            ~actions:
-              [ action "fwd" ~params:[ "port" ] [ forward (param "port") ] ]
-            ~size:rules () ]
-    in
-    let env = Flexbpf.Interp.create_env prog in
-    for dst = 1 to rules do
-      Flexbpf.Interp.install_rule env tbl_name
-        (rule ~matches:[ exact_i dst ] ~action:("fwd", [ port_of dst ]) ())
-    done;
-    Flexbpf.Interp.set_tier_capacity env tbl_name cap;
-    let compiled = Flexbpf.Compile.compile env prog in
-    let sim = Netsim.Sim.create () in
-    let gen = Netsim.Traffic.create ~seed:1717 sim in
-    let draw = Netsim.Traffic.zipf ~alpha gen ~n:rules in
-    let pkts =
-      Array.init rules (fun i ->
-          Netsim.Traffic.tcp_packet ~src:7 ~dst:(i + 1) ~sport:1234 ~dport:80
-            ~born:0. ())
-    in
-    for _ = 1 to packets do
-      ignore (Flexbpf.Compile.run compiled pkts.(draw () - 1))
-    done;
+    let rules = max 2 rules in
+    let cap = match cap with Some c -> max 1 c | None -> max 1 (rules / 10) in
+    let env, compiled = Scenario.tiered_table ~rules ~cap in
+    let dsts, pkts = Scenario.zipf_stream ~alpha ~rules ~packets in
+    Array.iter
+      (fun dst -> ignore (Flexbpf.Compile.run compiled pkts.(dst - 1)))
+      dsts;
     let stats = Flexbpf.Compile.tier_stats compiled in
-    let logical_hits =
-      Netsim.Stats.Counters.get env.Flexbpf.Interp.stats (tbl_name ^ ".hit")
+    let logical name =
+      Obs.Metrics.get_counter env.Flexbpf.Interp.stats
+        (Scenario.fwd_table ^ name)
     in
-    let logical_misses =
-      Netsim.Stats.Counters.get env.Flexbpf.Interp.stats (tbl_name ^ ".miss")
-    in
+    let logical_hits = logical ".hit" and logical_misses = logical ".miss" in
     let ratio h m =
       if h + m = 0 then 1. else float_of_int h /. float_of_int (h + m)
+    in
+    let predicted =
+      1. -. Targets.Resource.predicted_miss_rate ~logical:rules ~device:cap
     in
     match format with
     | `Table ->
@@ -928,32 +688,27 @@ let tables_cmd =
         "logical match hits %d, misses %d (tiering never changes these)\n"
         logical_hits logical_misses;
       Printf.printf "planner predicted hit rate (zipf-1 model): %.4f\n"
-        (1.
-         -. Targets.Resource.predicted_miss_rate ~logical:rules ~device:cap)
+        predicted
     | `Json ->
       Printf.printf
         "{\"rules\":%d,\"capacity\":%d,\"packets\":%d,\"alpha\":%g,\
          \"predicted_hit_rate\":%.4f,\"logical_hits\":%d,\
          \"logical_misses\":%d,\"tables\":[%s]}\n"
-        rules cap packets alpha
-        (1.
-         -. Targets.Resource.predicted_miss_rate ~logical:rules ~device:cap)
-        logical_hits logical_misses
-        (String.concat ","
-           (List.map
-              (fun (s : Flexbpf.Compile.tier_stat) ->
-                Printf.sprintf
-                  "{\"table\":\"%s\",\"capacity\":%d,\"resident\":%d,\
-                   \"hits\":%d,\"misses\":%d,\"hit_ratio\":%.4f,\
-                   \"promotions\":%d,\"evictions\":%d,\"demotions\":%d}"
-                  (json_escape s.Flexbpf.Compile.ts_table)
-                  s.Flexbpf.Compile.ts_capacity s.Flexbpf.Compile.ts_resident
-                  s.Flexbpf.Compile.ts_hits s.Flexbpf.Compile.ts_misses
-                  (ratio s.Flexbpf.Compile.ts_hits s.Flexbpf.Compile.ts_misses)
-                  s.Flexbpf.Compile.ts_promotions
-                  s.Flexbpf.Compile.ts_evictions
-                  s.Flexbpf.Compile.ts_demotions)
-              stats))
+        rules cap packets alpha predicted logical_hits logical_misses
+        (json_map
+           (fun (s : Flexbpf.Compile.tier_stat) ->
+             Printf.sprintf
+               "{\"table\":\"%s\",\"capacity\":%d,\"resident\":%d,\
+                \"hits\":%d,\"misses\":%d,\"hit_ratio\":%.4f,\
+                \"promotions\":%d,\"evictions\":%d,\"demotions\":%d}"
+               (json_escape s.Flexbpf.Compile.ts_table)
+               s.Flexbpf.Compile.ts_capacity s.Flexbpf.Compile.ts_resident
+               s.Flexbpf.Compile.ts_hits s.Flexbpf.Compile.ts_misses
+               (ratio s.Flexbpf.Compile.ts_hits s.Flexbpf.Compile.ts_misses)
+               s.Flexbpf.Compile.ts_promotions
+               s.Flexbpf.Compile.ts_evictions
+               s.Flexbpf.Compile.ts_demotions)
+           stats)
   in
   Cmd.v
     (Cmd.info "tables"
@@ -962,13 +717,13 @@ let tables_cmd =
           report device-tier occupancy, hit/miss ratio, and \
           promotion/eviction counts")
     Term.(const run $ rules_arg $ capacity_arg $ packets_arg $ alpha_arg
-          $ tables_format_arg)
+          $ table_json_arg)
 
 (* -- market ------------------------------------------------------------- *)
 
 (* Stateless demo of the tenant economy: bring up a network, enqueue a
-   seeded population of bidders (the same program mix as the E18
-   workload generator), run clearing rounds, and dump the price books,
+   seeded population of bidders (the E9/E18 churn bidders), run
+   clearing rounds, and dump the price books,
    per-tenant standing bids, and auction history. The point is to make
    the market's state inspectable without running the full E18 bench. *)
 
@@ -985,47 +740,19 @@ let market_cmd =
     Arg.(value & opt int 31
          & info [ "seed" ] ~docv:"S" ~doc:"Workload seed")
   in
-  let market_format_arg =
-    Arg.(value & opt (enum [ ("table", `Table); ("json", `Json) ]) `Table
-         & info [ "format" ] ~docv:"FMT"
-             ~doc:"Output format: $(b,table) or $(b,json)")
-  in
   let run switches tenants rounds seed format =
-    let net = Flexnet.create ~arch:Targets.Arch.Drmt ~switches () in
-    (match Flexnet.deploy_infrastructure net with
-     | Ok _ -> ()
-     | Error e -> failwith e);
+    let net = Scenario.up ~switches () in
     let tmgr = Flexnet.tenants_exn net in
     (* price the path's tail device: pipeline-order placement packs
        tenant elements onto it, so that pool is the scarce resource *)
     let book_path = [ List.hd (List.rev (Flexnet.path net)) ] in
     let au = Market.Auction.create ~tenants:tmgr ~path:book_path () in
-    let rng = Random.State.make [| seed |] in
-    for i = 1 to tenants do
-      let name = Printf.sprintf "tenant%d" i in
-      let program =
-        match Random.State.int rng 10 with
-        | 0 | 1 -> Apps.Firewall.program ~owner:name ~boundary:100 ()
-        | 2 | 3 ->
-          Apps.Nat.program ~owner:name ~public:(900 + i) ~subnet_lo:10
-            ~subnet_hi:20 ()
-        | _ ->
-          Apps.Acl.program ~owner:name
-            ~size:(65536 lsl Random.State.int rng 5)
-            ()
-      in
-      match
-        Market.Tenant.create
-          ~sla:
-            (if Random.State.int rng 10 = 0 then Market.Tenant.Protected
-             else Market.Tenant.Best_effort)
-          ~budget:(4. +. Random.State.float rng 12.)
-          ~weight:(1.2 +. Random.State.float rng 4.)
-          program
-      with
-      | Error _ -> ()
-      | Ok mt -> Market.Auction.submit au mt
-    done;
+    List.iter
+      (fun spec ->
+        match Scenario.bidder spec with
+        | Error _ -> ()
+        | Ok mt -> Market.Auction.submit au mt)
+      (Scenario.churn_specs ~seed tenants);
     for _ = 1 to rounds do
       ignore (Market.Auction.clear au)
     done;
@@ -1036,6 +763,11 @@ let market_cmd =
       match a.Market.Auction.ad_bid with
       | Some b -> b.Market.Tenant.bid_replicas
       | None -> 1
+    in
+    let density_of (a : Market.Auction.admitted) =
+      match a.Market.Auction.ad_bid with
+      | Some b -> b.Market.Tenant.bid_density
+      | None -> 0.
     in
     match format with
     | `Table ->
@@ -1070,9 +802,7 @@ let market_cmd =
             (Market.Tenant.sla_to_string mt.Market.Tenant.mt_sla)
             q a.Market.Auction.ad_price a.Market.Auction.ad_spend
             (Market.Tenant.utility mt q)
-            (match a.Market.Auction.ad_bid with
-             | Some b -> b.Market.Tenant.bid_density
-             | None -> 0.))
+            (density_of a))
         adm;
       Printf.printf "\nclearing history:\n";
       Printf.printf "  %-6s %-6s %-10s %-8s %-9s %-9s %-10s %-9s\n" "round"
@@ -1089,70 +819,56 @@ let market_cmd =
             (List.length r.Market.Auction.rd_rejected))
         (Market.Auction.rounds au)
     | `Json ->
+      let kv fmt k v =
+        Printf.sprintf ("\"%s\":" ^^ fmt) (Market.Prices.rkind_to_string k) v
+      in
+      let units r =
+        json_map (fun k -> kv "%.1f" k (Market.Prices.units k r))
+          Market.Prices.all_rkinds
+      in
       let books_json =
-        String.concat ","
-          (List.map
-             (fun (arch, book) ->
-               let used, cap = List.assoc arch occ in
-               Printf.sprintf "{\"arch\":\"%s\",\"prices\":{%s},\"used\":{%s},\"capacity\":{%s}}"
-                 (Targets.Arch.kind_to_string arch)
-                 (String.concat ","
-                    (List.map
-                       (fun (k, p) ->
-                         Printf.sprintf "\"%s\":%.6f"
-                           (Market.Prices.rkind_to_string k)
-                           p)
-                       (Market.Prices.prices book)))
-                 (String.concat ","
-                    (List.map
-                       (fun k ->
-                         Printf.sprintf "\"%s\":%.1f"
-                           (Market.Prices.rkind_to_string k)
-                           (Market.Prices.units k used))
-                       Market.Prices.all_rkinds))
-                 (String.concat ","
-                    (List.map
-                       (fun k ->
-                         Printf.sprintf "\"%s\":%.1f"
-                           (Market.Prices.rkind_to_string k)
-                           (Market.Prices.units k cap))
-                       Market.Prices.all_rkinds)))
-             books)
+        json_map
+          (fun (arch, book) ->
+            let used, cap = List.assoc arch occ in
+            Printf.sprintf
+              "{\"arch\":\"%s\",\"prices\":{%s},\"used\":{%s},\
+               \"capacity\":{%s}}"
+              (Targets.Arch.kind_to_string arch)
+              (json_map (fun (k, p) -> kv "%.6f" k p)
+                 (Market.Prices.prices book))
+              (units used) (units cap))
+          books
       in
       let tenants_json =
-        String.concat ","
-          (List.map
-             (fun (a : Market.Auction.admitted) ->
-               let mt = a.Market.Auction.ad_tenant in
-               let q = replicas_of a in
-               Printf.sprintf
-                 "{\"tenant\":\"%s\",\"sla\":\"%s\",\"replicas\":%d,\
-                  \"price\":%.6f,\"spend\":%.6f,\"utility\":%.6f,\
-                  \"density\":%.6f}"
-                 (json_escape mt.Market.Tenant.mt_name)
-                 (Market.Tenant.sla_to_string mt.Market.Tenant.mt_sla)
-                 q a.Market.Auction.ad_price a.Market.Auction.ad_spend
-                 (Market.Tenant.utility mt q)
-                 (match a.Market.Auction.ad_bid with
-                  | Some b -> b.Market.Tenant.bid_density
-                  | None -> 0.))
-             adm)
+        json_map
+          (fun (a : Market.Auction.admitted) ->
+            let mt = a.Market.Auction.ad_tenant in
+            let q = replicas_of a in
+            Printf.sprintf
+              "{\"tenant\":\"%s\",\"sla\":\"%s\",\"replicas\":%d,\
+               \"price\":%.6f,\"spend\":%.6f,\"utility\":%.6f,\
+               \"density\":%.6f}"
+              (json_escape mt.Market.Tenant.mt_name)
+              (Market.Tenant.sla_to_string mt.Market.Tenant.mt_sla)
+              q a.Market.Auction.ad_price a.Market.Auction.ad_spend
+              (Market.Tenant.utility mt q)
+              (density_of a))
+          adm
       in
       let rounds_json =
-        String.concat ","
-          (List.map
-             (fun (r : Market.Auction.round) ->
-               Printf.sprintf
-                 "{\"round\":%d,\"iterations\":%d,\"converged\":%b,\
-                  \"bidders\":%d,\"admitted\":%d,\"deferred\":%d,\
-                  \"preempted\":%d,\"rejected\":%d}"
-                 r.Market.Auction.rd_index r.Market.Auction.rd_iterations
-                 r.Market.Auction.rd_converged r.Market.Auction.rd_bidders
-                 (List.length r.Market.Auction.rd_admitted)
-                 (List.length r.Market.Auction.rd_deferred)
-                 (List.length r.Market.Auction.rd_preempted)
-                 (List.length r.Market.Auction.rd_rejected))
-             (Market.Auction.rounds au))
+        json_map
+          (fun (r : Market.Auction.round) ->
+            Printf.sprintf
+              "{\"round\":%d,\"iterations\":%d,\"converged\":%b,\
+               \"bidders\":%d,\"admitted\":%d,\"deferred\":%d,\
+               \"preempted\":%d,\"rejected\":%d}"
+              r.Market.Auction.rd_index r.Market.Auction.rd_iterations
+              r.Market.Auction.rd_converged r.Market.Auction.rd_bidders
+              (List.length r.Market.Auction.rd_admitted)
+              (List.length r.Market.Auction.rd_deferred)
+              (List.length r.Market.Auction.rd_preempted)
+              (List.length r.Market.Auction.rd_rejected))
+          (Market.Auction.rounds au)
       in
       Printf.printf
         "{\"bidders\":%d,\"rounds_run\":%d,\"admitted\":%d,\"waiting\":%d,\
@@ -1169,7 +885,7 @@ let market_cmd =
           tenants' standing bids/spend/utility, and the clearing-round \
           history")
     Term.(const run $ switches_arg $ tenants_arg $ rounds_arg $ seed_arg
-          $ market_format_arg)
+          $ table_json_arg)
 
 (* -- policy ------------------------------------------------------------- *)
 
@@ -1188,28 +904,21 @@ let load_policy path =
     exit 2
   | Ok pol -> pol
 
-let pol_format_arg =
-  Arg.(value & opt (enum [ ("table", `Table); ("json", `Json) ]) `Table
-       & info [ "format" ] ~docv:"FMT"
-           ~doc:"Output format: $(b,table) or $(b,json)")
-
 let pol_file_arg =
   Arg.(required & pos 0 (some file) None
        & info [] ~docv:"FILE" ~doc:"Policy source (.pol)")
 
 let rules_json rules =
-  String.concat ","
-    (List.map
-       (fun (r : Flexbpf.Ast.rule) ->
-         Printf.sprintf
-           "{\"priority\":%d,\"matches\":[%s],\"action\":\"%s\"}"
-           r.Flexbpf.Ast.rule_priority
-           (String.concat ","
-              (List.map
-                 (fun p -> Printf.sprintf "\"%s\"" (pattern_str p))
-                 r.Flexbpf.Ast.matches))
-           (json_escape r.Flexbpf.Ast.rule_action))
-       rules)
+  json_map
+    (fun (r : Flexbpf.Ast.rule) ->
+      Printf.sprintf
+        "{\"priority\":%d,\"matches\":[%s],\"action\":\"%s\"}"
+        r.Flexbpf.Ast.rule_priority
+        (json_map
+           (fun p -> Printf.sprintf "\"%s\"" (pattern_str p))
+           r.Flexbpf.Ast.matches)
+        (json_escape r.Flexbpf.Ast.rule_action))
+    rules
 
 let policy_compile_cmd =
   let switches_arg =
@@ -1248,22 +957,20 @@ let policy_compile_cmd =
        | `Json ->
          Printf.printf "{\"policy\":\"%s\",\"devices\":[%s]}\n"
            (json_escape (Policy.Syntax.print pol))
-           (String.concat ","
-              (List.map
-                 (fun (dev, lw) ->
-                   Printf.sprintf
-                     "{\"device\":\"%s\",\"sw\":%Ld,\"program\":\"%s\",\
-                      \"rules\":{%s}}"
-                     (json_escape dev) lw.Policy.Compile.lw_sw
-                     (json_escape
-                        (Flexbpf.Syntax.print lw.Policy.Compile.lw_prog))
-                     (String.concat ","
-                        (List.map
-                           (fun (tbl, rules) ->
-                             Printf.sprintf "\"%s\":[%s]" (json_escape tbl)
-                               (rules_json rules))
-                           lw.Policy.Compile.lw_rules)))
-                 lowered)));
+           (json_map
+              (fun (dev, lw) ->
+                Printf.sprintf
+                  "{\"device\":\"%s\",\"sw\":%Ld,\"program\":\"%s\",\
+                   \"rules\":{%s}}"
+                  (json_escape dev) lw.Policy.Compile.lw_sw
+                  (json_escape
+                     (Flexbpf.Syntax.print lw.Policy.Compile.lw_prog))
+                  (json_map
+                     (fun (tbl, rules) ->
+                       Printf.sprintf "\"%s\":[%s]" (json_escape tbl)
+                         (rules_json rules))
+                     lw.Policy.Compile.lw_rules))
+              lowered));
       exit 0
   in
   Cmd.v
@@ -1272,7 +979,7 @@ let policy_compile_cmd =
          "Slice a policy per switch and print the lowered FlexBPF \
           program and rule set for each. Exit 0 on success, 1 when the \
           policy does not lower, 2 on parse failure.")
-    Term.(const run $ pol_file_arg $ pol_format_arg $ switches_arg)
+    Term.(const run $ pol_file_arg $ table_json_arg $ switches_arg)
 
 let policy_check_cmd =
   let run file format =
@@ -1304,18 +1011,15 @@ let policy_check_cmd =
            "{\"policy\":\"%s\",\"fields\":[%s],\"fdd_size\":%d,\
             \"switches\":[%s],\"rules\":[%s]}\n"
            (json_escape (Policy.Syntax.print pol))
-           (String.concat ","
-              (List.map
-                 (fun f -> Printf.sprintf "\"%s\"" (Policy.Ast.field_name f))
-                 rp.Policy.Compile.rp_fields))
+           (json_map
+              (fun f -> Printf.sprintf "\"%s\"" (Policy.Ast.field_name f))
+              rp.Policy.Compile.rp_fields)
            rp.Policy.Compile.rp_fdd_size
-           (String.concat ","
-              (List.map Int64.to_string rp.Policy.Compile.rp_switches))
-           (String.concat ","
-              (List.map
-                 (fun (sw, n) ->
-                   Printf.sprintf "{\"sw\":%Ld,\"rules\":%d}" sw n)
-                 rp.Policy.Compile.rp_rules)));
+           (json_map Int64.to_string rp.Policy.Compile.rp_switches)
+           (json_map
+              (fun (sw, n) ->
+                Printf.sprintf "{\"sw\":%Ld,\"rules\":%d}" sw n)
+              rp.Policy.Compile.rp_rules));
       exit 0
   in
   Cmd.v
@@ -1324,7 +1028,7 @@ let policy_check_cmd =
          "Validate and normalize a policy; print the fields it touches, \
           its FDD size, and per-switch rule counts. Exit 0 when it \
           lowers everywhere, 1 otherwise, 2 on parse failure.")
-    Term.(const run $ pol_file_arg $ pol_format_arg)
+    Term.(const run $ pol_file_arg $ table_json_arg)
 
 let policy_cmd =
   Cmd.group

@@ -9,10 +9,7 @@ let pf fmt = Format.printf fmt
 
 let () =
   pf "== Elastic DDoS defense ==@.@.";
-  let net = Flexnet.create ~arch:Targets.Arch.Drmt ~switches:3 () in
-  (match Flexnet.deploy_infrastructure net with
-   | Ok _ -> ()
-   | Error e -> failwith e);
+  let net = Scenario.up () in
   let sim = Flexnet.sim net in
   let h0 = Flexnet.h0 net and h1 = Flexnet.h1 net in
   let switches = Flexnet.switch_devices net in
@@ -48,76 +45,40 @@ let () =
   in
 
   (* the attack: spoofed SYN flood ramping 0 -> 20k pps -> 0 *)
-  let attack_gen = Netsim.Traffic.create ~seed:99 sim in
-  Netsim.Traffic.ramp attack_gen ~peak_pps:20_000. ~start:1.0 ~ramp_up:1.5
-    ~hold:2.0 ~ramp_down:1.5 ~send:(fun () ->
-      Netsim.Node.send h0 ~port:0
-        (Netsim.Traffic.spoofed_syn attack_gen ~dst:h1.Netsim.Node.id
-           ~dport:80 ~born:(Netsim.Sim.now sim)));
+  ignore
+    (Scenario.syn_flood ~seed:99 ~peak_pps:20_000. ~start:1.0 ~ramp_up:1.5
+       ~hold:2.0 ~ramp_down:1.5 net);
 
   (* defense replica management: replica i lives on switch i; churn
      goes through the controller, i.e. every inject/retire is an
-     install/remove plan executed by the reconfiguration engine *)
-  let defense_prog = Apps.Syn_defense.program ~threshold:100 () in
-  let controller = Flexnet.controller net in
-  let uri = Control.Uri.v ~owner:"infra" "syn-defense" in
-  ignore
-    (Control.Controller.register_app controller ~uri
-       ~kind:Control.Controller.Utility ~program:defense_prog ~replicas:[]);
-  let replicas = ref 0 in
-  (* scrub totals survive replica retirement *)
+     install/remove plan executed by the reconfiguration engine.
+     Offered SYN load is measured in the data plane while the defense
+     is up (per-window counters), at the victim otherwise. Scrub totals
+     survive replica retirement. *)
+  let scrubbed_of dev = Int64.to_int (Apps.Syn_defense.dropped_count dev) in
   let scrubbed_acc = ref 0 in
   let live_scrubbed () =
-    List.fold_left
-      (fun acc d -> acc + Int64.to_int (Apps.Syn_defense.dropped_count d))
-      0 switches
+    List.fold_left (fun acc d -> acc + scrubbed_of d) 0 switches
   in
-  let actuate =
-    Control.Elastic.app_actuator
+  let defense =
+    Scenario.elastic_defense ~name:"syn-defense"
       ~on_inject:(fun dev ->
         establish dev;
         pf "  t=%.2fs: defense replica injected on %s@." (Netsim.Sim.now sim)
           (Targets.Device.id dev))
       ~on_retire:(fun dev ->
-        scrubbed_acc :=
-          !scrubbed_acc + Int64.to_int (Apps.Syn_defense.dropped_count dev);
+        scrubbed_acc := !scrubbed_acc + scrubbed_of dev;
         pf "  t=%.2fs: defense replica retired from %s@." (Netsim.Sim.now sim)
           (Targets.Device.id dev))
-      ~controller ~uri ~devices:switches ()
+      ~victim:(fun () -> !syn_arrivals) net
   in
-  let scale_to n =
-    let n = min n (List.length switches) in
-    actuate n;
-    replicas := n
-  in
-
-  (* offered SYN load, measured in the data plane when the defense is
-     up (per-window counters), at the victim otherwise *)
-  let last_victim_syns = ref 0 in
-  let sample () =
-    let now_us = Int64.of_float (Netsim.Sim.now sim *. 1e6) in
-    if !replicas > 0 then
-      Int64.to_float
-        (Apps.Syn_defense.syn_rate_of (List.hd switches)
-           ~dst:(Int64.of_int h1.Netsim.Node.id) ~now_us)
-      *. 10. (* 100ms windows -> pps *)
-    else begin
-      let delta = !syn_arrivals - !last_victim_syns in
-      last_victim_syns := !syn_arrivals;
-      float_of_int delta *. 10.
-    end
-  in
-  let _policy =
-    Control.Elastic.create ~sim ~name:"syn-defense" ~min_replicas:0
-      ~max_replicas:3 ~cooldown:0.3 ~period:0.1 ~sample
-      ~capacity_per_replica:8000. ~scale_to ()
-  in
+  let replicas () = Control.Elastic.replicas defense.Scenario.policy in
 
   (* timeline *)
   pf "%-8s %-12s %-10s %-14s@." "time" "offered-pps" "replicas" "scrubbed-total";
   Netsim.Sim.every sim ~period:0.5 (fun () ->
-      pf "%-8.2f %-12.0f %-10d %-14d@." (Netsim.Sim.now sim) (sample ())
-        !replicas
+      pf "%-8.2f %-12.0f %-10d %-14d@." (Netsim.Sim.now sim)
+        (defense.Scenario.sample ()) (replicas ())
         (!scrubbed_acc + live_scrubbed ());
       Netsim.Sim.now sim < 7.9);
 
@@ -134,7 +95,8 @@ let () =
     "ddos.victim_syns";
   Obs.Metrics.incr metrics ~by:!legit_delivered "ddos.legit_delivered";
   Obs.Metrics.incr metrics ~by:!legit_sent "ddos.legit_sent";
-  Obs.Metrics.set_gauge metrics "ddos.final_replicas" (float_of_int !replicas);
+  Obs.Metrics.set_gauge metrics "ddos.final_replicas"
+    (float_of_int (replicas ()));
   pf "@.attack summary (obs registry, ddos.* and elastic.*):@.";
   List.iter
     (fun line ->
@@ -144,7 +106,7 @@ let () =
         || String.starts_with ~prefix:"metric" line
       then pf "  %s@." line)
     (String.split_on_char '\n' (Obs.Export.metrics_table metrics));
-  assert (!replicas = 0);
+  assert (replicas () = 0);
   assert (total_scrubbed > 0);
   assert (Obs.Metrics.get_counter metrics "ddos.scrubbed" > 0);
   pf "@.ddos defense OK@."

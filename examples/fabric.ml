@@ -69,13 +69,12 @@ let () =
      spine3, send 60% via spine0 *)
   let leaf0_dev = (List.nth _leaf_wireds 0).Runtime.Wiring.device in
   Netsim.Sim.at sim 1.0 (fun () ->
-      let prog = Apps.Load_balancer.program () in
-      List.iteri
-        (fun i el ->
-          match Targets.Device.install leaf0_dev ~ctx:prog ~order:i el with
-          | Ok _ -> ()
-          | Error r -> failwith (Targets.Device.reject_to_string r))
-        prog.Flexbpf.Ast.pipeline;
+      (match
+         Targets.Device.install_program leaf0_dev
+           (Apps.Load_balancer.program ())
+       with
+       | Ok () -> ()
+       | Error r -> failwith (Targets.Device.reject_to_string r));
       (* leaf0's spine-facing ports are 0..3 (wired to spines first) *)
       List.iter
         (Flexbpf.Interp.install_rule (Targets.Device.env leaf0_dev) "lb_select")

@@ -11,34 +11,24 @@ let () =
   pf "== FlexNet quickstart ==@.@.";
 
   (* 1. A whole-stack network: h0 - nic0 - s0 s1 s2 - nic1 - h1, with
-     dRMT (Spectrum-class) runtime-programmable switches. *)
-  let net = Flexnet.create ~arch:Targets.Arch.Drmt ~switches:3 () in
+     dRMT (Spectrum-class) runtime-programmable switches, and the
+     infrastructure program (L2/L3 + ACL + counters) deployed on it.
+     The compiler splits the program over the physical path. *)
+  let net = Scenario.up () in
   pf "network up: %d devices on the datapath@."
     (List.length (Flexnet.path net));
+  pf "infrastructure deployed:@.";
+  List.iter
+    (fun (name, dev) -> pf "  %-15s -> %s@." name (Targets.Device.id dev))
+    (Flexnet.deployment_exn net).Compiler.Incremental.dep_placement
+      .Compiler.Placement.where;
 
-  (* 2. Deploy the infrastructure program (L2/L3 + ACL + counters).
-     The compiler splits it over the physical path. *)
-  (match Flexnet.deploy_infrastructure net with
-   | Ok dep ->
-     pf "infrastructure deployed:@.";
-     List.iter
-       (fun (name, dev) -> pf "  %-15s -> %s@." name (Targets.Device.id dev))
-       dep.Compiler.Incremental.dep_placement.Compiler.Placement.where
-   | Error e -> failwith e);
-
-  (* 3. Send continuous traffic. *)
+  (* 2. Send continuous traffic. *)
   let sim = Flexnet.sim net in
   let h0 = Flexnet.h0 net and h1 = Flexnet.h1 net in
-  let sent = ref 0 in
-  let gen = Netsim.Traffic.create sim in
-  Netsim.Traffic.cbr gen ~rate_pps:1000. ~start:0. ~stop:2.0 ~send:(fun () ->
-      incr sent;
-      Flexnet.send_h0 net
-        (Netsim.Traffic.tcp_packet ~src:h0.Netsim.Node.id
-           ~dst:h1.Netsim.Node.id ~sport:1234 ~dport:80
-           ~born:(Netsim.Sim.now sim) ()));
+  let sent = Scenario.cbr sim ~h0 ~h1 ~rate_pps:1000. ~stop:2.0 in
 
-  (* 4. At t=1s, patch the running network: insert a stateful firewall
+  (* 3. At t=1s, patch the running network: insert a stateful firewall
      before the routing table — without dropping a packet. *)
   let patch =
     Flexbpf.Patch.v "add-firewall"
@@ -63,7 +53,7 @@ let () =
 
   Flexnet.run net ~until:3.0;
 
-  (* 5. Results. *)
+  (* 4. Results. *)
   let stats = Flexnet.stats net in
   pf "@.sent %d packets; delivered %d; lost to reconfiguration: %d@." !sent
     stats.Flexnet.delivered_h1 stats.Flexnet.reconfig_drops;

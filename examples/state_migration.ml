@@ -7,66 +7,21 @@
 
 let pf fmt = Format.printf fmt
 
-let cfg = { Apps.Cm_sketch.depth = 3; width = 512; map_name = "cms" }
-
-let mk_device id =
-  let dev = Targets.Device.create ~id Targets.Arch.drmt in
-  let prog = Apps.Cm_sketch.program ~cfg () in
-  List.iteri
-    (fun i el -> ignore (Targets.Device.install dev ~ctx:prog ~order:i el))
-    prog.Flexbpf.Ast.pipeline;
-  dev
-
 let run protocol label =
-  let sim = Netsim.Sim.create () in
-  let src = mk_device "spine-a" in
-  let dst = mk_device "spine-b" in
-  let handle = Runtime.Migration.create src in
-  let rng = Random.State.make [| 17 |] in
-  let sent = ref 0 in
-  let gen = Netsim.Traffic.create sim in
-  Netsim.Traffic.cbr gen ~rate_pps:50_000. ~start:0. ~stop:1.0 ~send:(fun () ->
-      incr sent;
-      let s = Int64.of_int (Random.State.int rng 100) in
-      let pkt =
-        Netsim.Packet.create
-          [ Netsim.Packet.ethernet ~src:s ~dst:1L ();
-            Netsim.Packet.ipv4 ~src:s ~dst:1L ();
-            Netsim.Packet.tcp ~sport:5L ~dport:6L () ]
-      in
-      ignore
-        (Runtime.Migration.exec handle
-           ~now_us:(Int64.of_float (Netsim.Sim.now sim *. 1e6))
-           pkt));
-  let window = ref 0. in
-  Netsim.Sim.at sim 0.5 (fun () ->
-      pf "  t=0.5s: migrating sketch spine-a -> spine-b (%s)...@." label;
-      match protocol with
-      | `Freeze ->
-        Runtime.Migration.freeze_copy ~entries_per_second:2_000. ~sim handle
-          ~dst ~map_names:[ "cms" ]
-          ~on_done:(fun r ->
-            window := r.Runtime.Migration.window;
-            pf "  t=%.3fs: cutover after %.0f ms copy (%d entries)@."
-              (Netsim.Sim.now sim)
-              (1000. *. r.Runtime.Migration.window)
-              r.Runtime.Migration.entries_moved)
-          ()
-      | `Swing ->
-        Runtime.Migration.swing ~sim handle ~dst ~map_names:[ "cms" ]
-          ~on_done:(fun r ->
-            window := r.Runtime.Migration.window;
-            pf "  t=%.3fs: cutover after %.0f ms mirror window (%d entries)@."
-              (Netsim.Sim.now sim)
-              (1000. *. r.Runtime.Migration.window)
-              r.Runtime.Migration.entries_moved)
-          ());
-  ignore (Netsim.Sim.run sim);
-  let updates_expected = !sent * cfg.Apps.Cm_sketch.depth in
-  let updates_present =
-    Int64.to_int (Runtime.Migration.map_sum dst "cms")
+  let on_start () =
+    pf "  t=0.5s: migrating sketch spine-a -> spine-b (%s)...@." label
   in
-  (label, updates_expected, updates_present, !window)
+  let on_done t r =
+    pf "  t=%.3fs: cutover after %.0f ms %s (%d entries)@." t
+      (1000. *. r.Runtime.Migration.window)
+      (match protocol with `Freeze -> "copy" | `Swing -> "mirror window")
+      r.Runtime.Migration.entries_moved
+  in
+  let m =
+    Scenario.migrate_count_min ~entries_per_second:2_000. ~on_start ~on_done
+      ~seed:17 ~flows:100 ~pps:50_000. protocol
+  in
+  (label, m.Scenario.expected, m.Scenario.present)
 
 let () =
   pf "== Stateful app migration ==@.@.";
@@ -76,10 +31,10 @@ let () =
   let swing = run `Swing "data-plane swing" in
   pf "@.%-28s %-12s %-12s %-10s@." "protocol" "expected" "present" "lost";
   List.iter
-    (fun (label, expected, present, _) ->
+    (fun (label, expected, present) ->
       pf "%-28s %-12d %-12d %-10d@." label expected present (expected - present))
     [ freeze; swing ];
-  let _, fe, fp, _ = freeze and _, se, sp, _ = swing in
+  let _, fe, fp = freeze and _, se, sp = swing in
   assert (fp < fe); (* freeze-copy lost updates *)
   assert (sp = se); (* swing lost nothing *)
   pf "@.\"copying state via control plane software is impossible\" —@.";

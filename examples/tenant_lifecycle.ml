@@ -15,10 +15,7 @@ let show_utilization net tag =
 
 let () =
   pf "== Tenant lifecycle ==@.@.";
-  let net = Flexnet.create ~arch:Targets.Arch.Drmt ~switches:3 () in
-  (match Flexnet.deploy_infrastructure net with
-   | Ok _ -> ()
-   | Error e -> failwith e);
+  let net = Scenario.up () in
   show_utilization net "infra only";
 
   (* Tenant "acme" brings a NAT; tenant "bolt" brings a firewall. *)
@@ -70,14 +67,9 @@ let () =
   (match Flexnet.add_tenant net (Apps.Firewall.program ~owner:"carp" ~boundary:100 ()) with
    | Ok (t, _) -> pf "@.tenant %s admitted (same firewall as bolt)@." t.Control.Tenants.tenant_name
    | Error e -> pf "admission failed: %a@." Control.Tenants.pp_admission_error e);
-  let dep = Option.get net.Flexnet.deployment in
-  ignore dep;
-  let tenants =
-    match net.Flexnet.tenants with Some t -> t | None -> assert false
-  in
   List.iter
     (fun (a, b) -> pf "  sharable logic: %s == %s@." a b)
-    (Control.Tenants.sharable tenants);
+    (Control.Tenants.sharable (Flexnet.tenants_exn net));
 
   (* Departures trim the network. *)
   pf "@.departures:@.";

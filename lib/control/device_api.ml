@@ -77,4 +77,4 @@ let write_counter t ~map ~key value =
 
 let hit_stats t =
   account t;
-  Netsim.Stats.Counters.to_list (Targets.Device.env t.device).Flexbpf.Interp.stats
+  Obs.Metrics.counters_list (Targets.Device.env t.device).Flexbpf.Interp.stats

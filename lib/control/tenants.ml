@@ -118,32 +118,50 @@ let pp_admission_error ppf = function
       vs
   | Compilation e -> Fmt.pf ppf "compilation: %a" Compiler.Incremental.pp_error e
 
-(** Build the injection patch for a namespaced, guarded extension. *)
-let injection_patch ~tenant_name ~base (ext : Ast.program) =
-  let ops =
-    List.filter_map
-      (fun (h : Ast.header_decl) ->
-        if List.exists (fun (b : Ast.header_decl) -> b.hdr_name = h.hdr_name)
-             base.Ast.headers
-        then None
-        else Some (Patch.Add_header h))
-      ext.Ast.headers
-    @ List.map (fun m -> Patch.Add_map m) ext.Ast.maps
-    @ List.filter_map
-        (fun (r : Ast.parser_rule) ->
-          (* skip rules the base parser already covers (same header
-             sequence), regardless of rule name *)
-          if
-            List.exists
-              (fun (b : Ast.parser_rule) ->
-                b.pr_name = r.pr_name || b.pr_headers = r.pr_headers)
-              base.Ast.parser
+(** The admission's patch step: namespace the extension, check its
+    accesses against the exports, VLAN-guard its pipeline with the
+    next VLAN, and build the injection patch over the live deployment.
+    Headers and parser rules the deployment already covers are
+    skipped. Nothing is applied. *)
+let injection t (ext : Ast.program) =
+  let namespaced = Compose.namespace ext in
+  match Compose.check_access ~exports:t.exports namespaced with
+  | _ :: _ as violations -> Error (Access_control violations)
+  | [] ->
+    let guarded =
+      { namespaced with
+        Ast.pipeline =
+          List.map (Compose.guard_element ~vlan:t.next_vlan)
+            namespaced.Ast.pipeline }
+    in
+    let base = t.deployment.Compiler.Incremental.dep_prog in
+    let ops =
+      List.filter_map
+        (fun (h : Ast.header_decl) ->
+          if List.exists (fun (b : Ast.header_decl) -> b.hdr_name = h.hdr_name)
+               base.Ast.headers
           then None
-          else Some (Patch.Add_parser_rule r))
-        ext.Ast.parser
-    @ List.map (fun el -> Patch.Add_element (Patch.At_end, el)) ext.Ast.pipeline
-  in
-  Patch.v ~owner:tenant_name (tenant_name ^ "-arrival") ops
+          else Some (Patch.Add_header h))
+        guarded.Ast.headers
+      @ List.map (fun m -> Patch.Add_map m) guarded.Ast.maps
+      @ List.filter_map
+          (fun (r : Ast.parser_rule) ->
+            (* skip rules the base parser already covers (same header
+               sequence), regardless of rule name *)
+            if
+              List.exists
+                (fun (b : Ast.parser_rule) ->
+                  b.pr_name = r.pr_name || b.pr_headers = r.pr_headers)
+                base.Ast.parser
+            then None
+            else Some (Patch.Add_parser_rule r))
+          guarded.Ast.parser
+      @ List.map
+          (fun el -> Patch.Add_element (Patch.At_end, el))
+          guarded.Ast.pipeline
+    in
+    let tenant_name = ext.Ast.owner in
+    Ok (guarded, Patch.v ~owner:tenant_name (tenant_name ^ "-arrival") ops)
 
 (** Admit a tenant extension program. On success the network has been
     live-patched and the tenant is registered. [attrs] carries extra
@@ -167,23 +185,12 @@ let admit_with ~attrs t (ext : Ast.program) =
               t.rejected <- t.rejected + 1;
               Error (Certification r)
             | Ok cert ->
-              let namespaced = Compose.namespace ext in
-              (match Compose.check_access ~exports:t.exports namespaced with
-               | _ :: _ as violations ->
+              (match injection t ext with
+               | Error e ->
                  t.rejected <- t.rejected + 1;
-                 Error (Access_control violations)
-               | [] ->
+                 Error e
+               | Ok (guarded, patch) ->
                  let vlan = t.next_vlan in
-                 let guarded =
-                   { namespaced with
-                     Ast.pipeline =
-                       List.map (Compose.guard_element ~vlan)
-                         namespaced.Ast.pipeline }
-                 in
-                 let patch =
-                   injection_patch ~tenant_name
-                     ~base:t.deployment.Compiler.Incremental.dep_prog guarded
-                 in
                  (match
                     Runtime.Reconfig.apply_patch ~obs:scope t.deployment patch
                   with

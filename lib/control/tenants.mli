@@ -79,6 +79,16 @@ type admission_error =
 
 val pp_admission_error : Format.formatter -> admission_error -> unit
 
+(** The admission's patch step, without applying it: namespace the
+    program, check its accesses against the exports, VLAN-guard its
+    pipeline with the VLAN the next admission gets, and build the
+    injection patch over the live deployment. Returns the guarded
+    program and the patch {!admit} would apply; [Access_control] is
+    the only error. *)
+val injection :
+  t -> Flexbpf.Ast.program ->
+  (Flexbpf.Ast.program * Flexbpf.Patch.t, admission_error) result
+
 (** Admit a tenant extension program (owner = the tenant name). On
     success the network has been live-patched and the tenant is
     registered. *)

@@ -63,20 +63,7 @@ let to_tsv d =
 (* SARIF 2.1.0 export: one run, one result per finding, with the pass
    carried as the rule's short description and the verifier path as a
    logical location. CI uploads these for code-scanning annotation. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_escape = Obs.Export.json_escape
 
 let sarif_level = function
   | Info -> "note"

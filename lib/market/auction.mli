@@ -59,7 +59,7 @@ val withdraw : t -> string -> unit
 val clear : t -> round
 
 (** Cheapest per-replica rent for a footprint at current prices — the
-    price signal [Control.Elastic.create_price] policies sample. *)
+    unit cost each clearing round quotes to bidders. *)
 val quote : t -> Targets.Resource.t -> float
 
 val books : t -> (Targets.Arch.kind * Prices.t) list

@@ -33,65 +33,6 @@ module Summary = struct
       (min t) (max t) (stddev t)
 end
 
-(** Fixed-capacity reservoir for percentile estimates. *)
-module Reservoir = struct
-  type t = {
-    samples : float array;
-    mutable n : int; (* total observed *)
-    rng : Random.State.t;
-  }
-
-  let create ?(capacity = 4096) ?(seed = 42) () =
-    { samples = Array.make capacity 0.; n = 0; rng = Random.State.make [| seed |] }
-
-  let add t x =
-    let cap = Array.length t.samples in
-    if t.n < cap then t.samples.(t.n) <- x
-    else begin
-      let j = Random.State.int t.rng (t.n + 1) in
-      if j < cap then t.samples.(j) <- x
-    end;
-    t.n <- t.n + 1
-
-  let count t = t.n
-
-  let percentile t p =
-    let m = Stdlib.min t.n (Array.length t.samples) in
-    if m = 0 then 0.
-    else begin
-      let a = Array.sub t.samples 0 m in
-      Array.sort Float.compare a;
-      let idx = int_of_float (p /. 100. *. float_of_int (m - 1)) in
-      a.(Stdlib.max 0 (Stdlib.min (m - 1) idx))
-    end
-
-  let median t = percentile t 50.
-end
-
-(** Named monotone counters.
-
-    Thin adapter over the unified [Obs.Metrics] registry: [t] IS a
-    registry (the type equality is exposed), so components that take a
-    [Counters.t] can be handed the simulation's registry and their
-    counts show up in the unified [flexnet metrics] export. *)
-module Counters = struct
-  type t = Obs.Metrics.t
-
-  let create () : t = Obs.Metrics.create ()
-  let incr ?by t name = Obs.Metrics.incr t ?by name
-
-  (* The cell behind [name], creating a zero entry if absent. Hot-path
-     callers (the FlexBPF compiled fast path) hold the ref and bump it
-     directly instead of hashing the name per event. *)
-  let handle t name = Obs.Metrics.counter t name
-  let get t name = Obs.Metrics.get_counter t name
-  let to_list t = Obs.Metrics.counters_list t
-
-  let pp ppf t =
-    Fmt.pf ppf "%a" Fmt.(list ~sep:(any " ") (pair ~sep:(any "=") string int))
-      (to_list t)
-end
-
 (** Time series sampled by experiments (e.g. queue depth over time). *)
 module Series = struct
   type t = { mutable points : (float * float) list }

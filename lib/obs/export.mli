@@ -3,6 +3,9 @@
     (name, labels), spans by id) and use fixed float formatting, so a
     seeded run exports byte-identical text. *)
 
+(** [s] escaped for use inside a JSON string literal. *)
+val json_escape : string -> string
+
 (** Prometheus text exposition: one [# TYPE] line per metric family,
     names prefixed with [flexnet_] and sanitized ('.', '-' → '_');
     histograms export [_count], [_sum], and [{quantile="..."}] summary

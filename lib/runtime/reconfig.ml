@@ -95,20 +95,12 @@ let per_device_times plan wireds =
     plan aborted). Hitless runs survive mid-batch device crashes: the
     plan is re-driven up to [max_retries] times with exponential
     backoff starting at [retry_backoff] seconds, then aborted with
-    every touched device rolled back to its old program. [stats] (if
-    given) counts "reconfig.retries" and "reconfig.gaveups". *)
+    every touched device rolled back to its old program. The sim's
+    registry counts "reconfig.retries" and "reconfig.gaveups". *)
 let execute ?(on_done = fun (_ : outcome) -> ()) ?(max_retries = 2)
-    ?(retry_backoff = 0.05) ?stats ~sim ~mode ~wireds ~plan apply =
+    ?(retry_backoff = 0.05) ~sim ~mode ~wireds ~plan apply =
   let registry = Obs.Scope.metrics (Netsim.Sim.obs sim) in
   let tr = Obs.Scope.trace (Netsim.Sim.obs sim) in
-  let count name =
-    Netsim.Stats.Counters.incr registry name;
-    (* a caller-supplied counter set keeps working; physical equality
-       guards against double counting when it IS the sim registry *)
-    match stats with
-    | Some c when c != registry -> Netsim.Stats.Counters.incr c name
-    | _ -> ()
-  in
   let start = Netsim.Sim.now sim in
   let times = per_device_times plan wireds in
   let touched () =
@@ -194,13 +186,13 @@ let execute ?(on_done = fun (_ : outcome) -> ()) ?(max_retries = 2)
       end
     and retry_or_abort k =
       if k < max_retries then begin
-        count "reconfig.retries";
+        Obs.Metrics.incr registry "reconfig.retries";
         Netsim.Sim.after sim
           (retry_backoff *. (2. ** float_of_int k))
           (fun () -> attempt (k + 1))
       end
       else begin
-        count "reconfig.gaveups";
+        Obs.Metrics.incr registry "reconfig.gaveups";
         (* abort atomically: any device still holding an open window
            (e.g. frozen but never crashed) reverts to its old program *)
         List.iter
@@ -449,10 +441,10 @@ let run_plan ?obs ?parent ?predicted ~devices plan =
 
 (** [execute] with the op interpreter as [apply] — the timed plan-only
     path used by experiments. *)
-let execute_plan ?on_done ?max_retries ?retry_backoff ?stats ~sim ~mode
-    ~wireds ~plan () =
+let execute_plan ?on_done ?max_retries ?retry_backoff ~sim ~mode ~wireds
+    ~plan () =
   let devices = List.map (fun w -> w.Wiring.device) wireds in
-  execute ?on_done ?max_retries ?retry_backoff ?stats ~sim ~mode ~wireds ~plan
+  execute ?on_done ?max_retries ?retry_backoff ~sim ~mode ~wireds ~plan
     (fun () -> ignore (apply_ops devices plan))
 
 (* -- Plan-then-execute entry points ------------------------------------ *)

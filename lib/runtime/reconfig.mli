@@ -43,11 +43,10 @@ val per_device_times :
     Observability: a "reconfig.execute" span (with "reconfig.attempt"
     children per Hitless attempt) is recorded on the simulation's
     tracer, and "reconfig.retries" / "reconfig.gaveups" are counted in
-    the simulation's registry. A caller-supplied [stats] still receives
-    the same counts (skipped when it is the sim registry itself). *)
+    the simulation's registry. *)
 val execute :
   ?on_done:(outcome -> unit) -> ?max_retries:int -> ?retry_backoff:float ->
-  ?stats:Netsim.Stats.Counters.t -> sim:Netsim.Sim.t -> mode:mode ->
+  sim:Netsim.Sim.t -> mode:mode ->
   wireds:Wiring.wired list -> plan:Compiler.Plan.t -> (unit -> unit) -> unit
 
 (** Modelled completion latency of a plan in hitless mode. *)
@@ -82,7 +81,7 @@ val run_plan :
     plan-only path used by experiments. *)
 val execute_plan :
   ?on_done:(outcome -> unit) -> ?max_retries:int -> ?retry_backoff:float ->
-  ?stats:Netsim.Stats.Counters.t -> sim:Netsim.Sim.t -> mode:mode ->
+  sim:Netsim.Sim.t -> mode:mode ->
   wireds:Wiring.wired list -> plan:Compiler.Plan.t -> unit -> unit
 
 (** {2 Plan-then-execute entry points}

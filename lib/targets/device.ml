@@ -368,6 +368,16 @@ let install t ~(ctx : Ast.program) ~order element =
        rebuild_program t;
        Ok slot)
 
+let install_program t (prog : Ast.program) =
+  let rec go i = function
+    | [] -> Ok ()
+    | el :: rest ->
+      (match install t ~ctx:prog ~order:i el with
+       | Ok _ -> go (i + 1) rest
+       | Error r -> Error r)
+  in
+  go 0 prog.pipeline
+
 let defer t cleanup =
   match t.frozen with
   | Some _ -> t.deferred <- cleanup :: t.deferred

@@ -76,6 +76,10 @@ val install :
   t -> ctx:Flexbpf.Ast.program -> order:int -> Flexbpf.Ast.element ->
   (slot, reject) result
 
+(** Install every element of [prog] in pipeline order (element [i] at
+    order [i]); stops at the first rejection and returns it. *)
+val install_program : t -> Flexbpf.Ast.program -> (unit, reject) result
+
 (** Remove an element, refunding its resources. Map/rule cleanup is
     deferred while frozen so the old program stays runnable. *)
 val uninstall : t -> string -> bool

@@ -120,6 +120,30 @@ let test_tenant_admission_lifecycle () =
   check_int "counters" 1 tenants.Control.Tenants.admitted;
   check_int "departures" 1 tenants.Control.Tenants.departed
 
+(* [injection] is admission's own patch step: it applies nothing, and
+   admission installs exactly the namespaced, guarded program it
+   previews. *)
+let test_tenant_injection_preview () =
+  let sim = Netsim.Sim.create () in
+  let _path, dep = mk_deployment () in
+  let tenants = Control.Tenants.create ~sim dep in
+  let ext = Apps.Firewall.program ~owner:"acme" ~boundary:100 () in
+  let guarded, patch =
+    match Control.Tenants.injection tenants ext with
+    | Ok gp -> gp
+    | Error e ->
+      Alcotest.failf "injection: %a" Control.Tenants.pp_admission_error e
+  in
+  check_int "nothing applied" 0 (Control.Tenants.active_count tenants);
+  Alcotest.(check string) "arrival patch" "acme-arrival"
+    patch.Flexbpf.Patch.patch_name;
+  match Control.Tenants.admit tenants ext with
+  | Error e -> Alcotest.failf "admit: %a" Control.Tenants.pp_admission_error e
+  | Ok (tenant, _) ->
+    Alcotest.(check (list string)) "admission installs the preview"
+      (List.map Flexbpf.Ast.element_name guarded.Flexbpf.Ast.pipeline)
+      tenant.Control.Tenants.element_names
+
 let test_tenant_rejection_paths () =
   let sim = Netsim.Sim.create () in
   let _path, dep = mk_deployment () in
@@ -532,6 +556,8 @@ let () =
         [ Alcotest.test_case "rules+counters" `Quick test_device_api_rules ] );
       ( "tenants",
         [ Alcotest.test_case "lifecycle" `Quick test_tenant_admission_lifecycle;
+          Alcotest.test_case "injection preview" `Quick
+            test_tenant_injection_preview;
           Alcotest.test_case "rejections" `Quick test_tenant_rejection_paths;
           Alcotest.test_case "distinct vlans" `Quick test_tenant_vlans_distinct;
           Alcotest.test_case "certificate placement" `Quick

@@ -79,7 +79,7 @@ let test_link_loss_window () =
   (* p=1.0 over a 100ms window at 1kpps: the window's packets die *)
   check "loss confined to the window" true (lost >= 90 && lost <= 110);
   check "loss counted as injected" true
-    (Netsim.Stats.Counters.get
+    (Obs.Metrics.get_counter
        (Netsim.Faults.counters faults)
        "faults.link.loss_windows"
      > 0)
@@ -136,10 +136,10 @@ let test_drpc_gives_up_after_retries () =
   check "k sees None once the budget is spent" true (!result = None);
   let stats = Runtime.Drpc.stats reg in
   check_int "every retry was taken" 3
-    (Netsim.Stats.Counters.get stats "drpc.retries");
-  check_int "one give-up" 1 (Netsim.Stats.Counters.get stats "drpc.gaveups");
+    (Obs.Metrics.get_counter stats "drpc.retries");
+  check_int "one give-up" 1 (Obs.Metrics.get_counter stats "drpc.gaveups");
   check_int "all four attempts dropped" 4
-    (Netsim.Stats.Counters.get stats "drpc.drops")
+    (Obs.Metrics.get_counter stats "drpc.drops")
 
 let test_drpc_retry_succeeds_after_window () =
   (* the drop window closes before the retry budget runs out, so the
@@ -157,8 +157,8 @@ let test_drpc_retry_succeeds_after_window () =
   check "retry after the window succeeds" true (!result = Some 7L);
   let stats = Runtime.Drpc.stats reg in
   check "at least one retry happened" true
-    (Netsim.Stats.Counters.get stats "drpc.retries" > 0);
-  check_int "no give-up" 0 (Netsim.Stats.Counters.get stats "drpc.gaveups")
+    (Obs.Metrics.get_counter stats "drpc.retries" > 0);
+  check_int "no give-up" 0 (Obs.Metrics.get_counter stats "drpc.gaveups")
 
 let test_drpc_clean_fabric_no_retries () =
   let sim, reg = drpc_fixture [] in
@@ -167,7 +167,7 @@ let test_drpc_clean_fabric_no_retries () =
   ignore (Netsim.Sim.run sim);
   check "delivered first try" true (!result = Some 7L);
   check_int "no retries on a clean fabric" 0
-    (Netsim.Stats.Counters.get (Runtime.Drpc.stats reg) "drpc.retries")
+    (Obs.Metrics.get_counter (Runtime.Drpc.stats reg) "drpc.retries")
 
 (* -- Reconfiguration: crash mid-batch, re-drive or atomic abort ---------- *)
 
@@ -452,8 +452,8 @@ let prop_dropped_pages_never_change_forwarding =
         paging_scenario ~seed ~drop_prob ~stop:1e9 ~ndsts:8 ~lookups:48
       in
       let stats = Runtime.Drpc.stats reg in
-      let faults_n = Netsim.Stats.Counters.get stats "table.faults" in
-      let drops = Netsim.Stats.Counters.get stats "table.fault_drops" in
+      let faults_n = Obs.Metrics.get_counter stats "table.faults" in
+      let drops = Obs.Metrics.get_counter stats "table.fault_drops" in
       wrong = 0 && faults_n > 0
       && List.for_all
            (fun (s : Flexbpf.Compile.tier_stat) ->
@@ -475,7 +475,7 @@ let test_paging_full_drop_host_serves () =
        s.Flexbpf.Compile.ts_misses
    | _ -> Alcotest.fail "expected one tiered table");
   check "page drops counted" true
-    (Netsim.Stats.Counters.get (Runtime.Drpc.stats reg) "table.fault_drops" > 0)
+    (Obs.Metrics.get_counter (Runtime.Drpc.stats reg) "table.fault_drops" > 0)
 
 let test_paging_recovers_after_window () =
   (* the drop window eats the first pages (host tier serves, slower);
@@ -493,7 +493,7 @@ let test_paging_recovers_after_window () =
      check_int "both hot keys resident" 2 s.Flexbpf.Compile.ts_resident
    | _ -> Alcotest.fail "expected one tiered table");
   check "windowed drops counted" true
-    (Netsim.Stats.Counters.get (Runtime.Drpc.stats reg) "table.fault_drops" > 0)
+    (Obs.Metrics.get_counter (Runtime.Drpc.stats reg) "table.fault_drops" > 0)
 
 (* -- Move migrates both tiers; a crash mid-move keeps old-XOR-new --------- *)
 

@@ -498,20 +498,12 @@ let test_summary () =
   Alcotest.(check (float 1e-6)) "stddev" (sqrt 2.5)
     (Netsim.Stats.Summary.stddev s)
 
-let test_reservoir_percentiles () =
-  let r = Netsim.Stats.Reservoir.create ~capacity:1000 () in
-  for i = 1 to 1000 do
-    Netsim.Stats.Reservoir.add r (float_of_int i)
-  done;
-  let p50 = Netsim.Stats.Reservoir.percentile r 50. in
-  check "median near 500" true (p50 > 450. && p50 < 550.)
-
 let test_counters () =
-  let c = Netsim.Stats.Counters.create () in
-  Netsim.Stats.Counters.incr c "a";
-  Netsim.Stats.Counters.incr c "a" ~by:4;
-  check_int "accumulates" 5 (Netsim.Stats.Counters.get c "a");
-  check_int "missing is zero" 0 (Netsim.Stats.Counters.get c "b")
+  let c = Obs.Metrics.create () in
+  Obs.Metrics.incr c "a";
+  Obs.Metrics.incr c "a" ~by:4;
+  check_int "accumulates" 5 (Obs.Metrics.get_counter c "a");
+  check_int "missing is zero" 0 (Obs.Metrics.get_counter c "b")
 
 (* -- Transport --------------------------------------------------------------- *)
 
@@ -602,7 +594,6 @@ let () =
           Alcotest.test_case "zipf tail mass" `Quick test_zipf_tail_mass ] );
       ( "stats",
         [ Alcotest.test_case "summary" `Quick test_summary;
-          Alcotest.test_case "reservoir" `Quick test_reservoir_percentiles;
           Alcotest.test_case "counters" `Quick test_counters ] );
       ( "transport",
         [ Alcotest.test_case "flow completes" `Quick test_transport_completes;

@@ -100,15 +100,6 @@ let test_merge_kind_conflict () =
        false
      with Invalid_argument _ -> true)
 
-(* The Netsim.Stats.Counters adapter is the registry itself: the type
-   equality lets a sim's unified registry flow anywhere the legacy
-   counter API is expected. *)
-let test_stats_adapter () =
-  let c : Netsim.Stats.Counters.t = Netsim.Stats.Counters.create () in
-  Netsim.Stats.Counters.incr c "x";
-  Obs.Metrics.incr (c : Obs.Metrics.t) "x";
-  check_int "both APIs hit the same series" 2 (Netsim.Stats.Counters.get c "x")
-
 (* -- Exporters ------------------------------------------------------------ *)
 
 let test_prometheus_shape () =
@@ -279,8 +270,7 @@ let () =
           Alcotest.test_case "kind conflict" `Quick test_kind_conflict;
           Alcotest.test_case "merge semantics" `Quick test_merge_semantics;
           Alcotest.test_case "merge kind conflict" `Quick
-            test_merge_kind_conflict;
-          Alcotest.test_case "stats adapter" `Quick test_stats_adapter ] );
+            test_merge_kind_conflict ] );
       ( "export",
         [ Alcotest.test_case "prometheus shape" `Quick test_prometheus_shape;
           Alcotest.test_case "sim clock wiring" `Quick test_trace_sim_clock ] );

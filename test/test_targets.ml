@@ -114,6 +114,23 @@ let test_double_install_rejected () =
   | Error (Targets.Device.Unsupported _) -> ()
   | _ -> Alcotest.fail "expected duplicate rejection"
 
+(* Whole-program install stops at, and returns, the first rejection. *)
+let test_install_program_first_rejection () =
+  let dev = Targets.Device.create Targets.Arch.drmt in
+  let prog = prog_of [ small_table "a"; small_table "a"; small_table "b" ] in
+  (match Targets.Device.install_program dev prog with
+   | Error (Targets.Device.Unsupported _) -> ()
+   | _ -> Alcotest.fail "expected the duplicate to be rejected");
+  Alcotest.(check (list string)) "stopped at the rejection" [ "a" ]
+    (Targets.Device.installed_names dev);
+  let fresh = Targets.Device.create Targets.Arch.drmt in
+  check "a valid program installs whole" true
+    (Targets.Device.install_program fresh
+       (prog_of [ small_table "a"; small_table "b" ])
+     = Ok ());
+  Alcotest.(check (list string)) "both elements" [ "a"; "b" ]
+    (List.sort compare (Targets.Device.installed_names fresh))
+
 let test_uninstall_frees_resources () =
   let dev = Targets.Device.create Targets.Arch.drmt in
   let ctx = prog_of [ big_exact_table "big" ] in
@@ -484,6 +501,8 @@ let () =
       ( "admission",
         [ Alcotest.test_case "install+exec" `Quick test_install_and_exec;
           Alcotest.test_case "double install" `Quick test_double_install_rejected;
+          Alcotest.test_case "install program" `Quick
+            test_install_program_first_rejection;
           Alcotest.test_case "uninstall frees" `Quick test_uninstall_frees_resources;
           Alcotest.test_case "rmt fragmentation" `Quick test_rmt_stage_fragmentation;
           Alcotest.test_case "rmt order constraint" `Quick test_rmt_order_constraint;
