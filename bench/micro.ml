@@ -107,7 +107,9 @@ let speedup_pairs =
   [ ("interp: l2l3 pipeline per packet", "compiled: l2l3 pipeline per packet");
     ("interp: count-min update (3 rows)", "compiled: count-min update (3 rows)");
     ( "event queue: boxed-record heap push+pop x64",
-      "event queue: push+pop x64" ) ]
+      "event queue: push+pop x64" );
+    ( "tier: tick-scan promote at cap 410 (Zipf misses)",
+      "tier: promote at cap 410 (Zipf misses)" ) ]
 
 let state_bench enc name =
   let st = Flexbpf.State.create ~name:"m" ~size:4096 enc in
@@ -204,6 +206,74 @@ let test_event_queue =
         ignore (Netsim.Event_queue.pop_exn q : unit -> unit)
       done))
 
+(* Reference implementation for the tier pair: the tick-scan device tier
+   [Flexbpf.State.Tier] used before its O(1) recency list. A touch
+   stamps the cell with a fresh tick; an eviction folds over every
+   resident entry for the smallest one. Kept here (not in flexbpf)
+   purely as the benchmark baseline. *)
+module Tick_tier = struct
+  module KH = Flexbpf.State.KH
+
+  type 'a cell = { mutable tv : 'a; mutable tt : int }
+  type 'a t = { tbl : 'a cell KH.t; cap : int; mutable tick : int }
+
+  let create ~cap = { tbl = KH.create cap; cap; tick = 0 }
+
+  let evict_lru t =
+    let victim =
+      KH.fold
+        (fun k c acc ->
+          match acc with
+          | Some (_, best) when best <= c.tt -> acc
+          | _ -> Some (k, c.tt))
+        t.tbl None
+    in
+    Option.iter (fun (k, _) -> KH.remove t.tbl k) victim
+
+  let promote t key v =
+    match KH.find t.tbl key with
+    | c ->
+      t.tick <- t.tick + 1;
+      c.tt <- t.tick;
+      c.tv <- v
+    | exception Not_found ->
+      if KH.length t.tbl >= t.cap then evict_lru t;
+      t.tick <- t.tick + 1;
+      KH.replace t.tbl key { tv = v; tt = t.tick }
+end
+
+(* The tiered_zipf shape: a 410-entry tier over 4096 keys. The op is
+   one promotion from the miss stream a Zipf(1.4) lookup stream leaves
+   at that capacity, so nearly every op evicts. Both sides start full. *)
+let tier_misses =
+  let gen = Netsim.Traffic.create ~seed:1717 (Netsim.Sim.create ()) in
+  let draw = Netsim.Traffic.zipf ~alpha:1.4 gen ~n:4096 in
+  let t = Flexbpf.State.Tier.create ~cap:410 in
+  let misses = ref [] in
+  for _ = 1 to 100_000 do
+    let k = [ Int64.of_int (draw ()) ] in
+    if Flexbpf.State.Tier.find t k = None then begin
+      misses := k :: !misses;
+      Flexbpf.State.Tier.promote t k ()
+    end
+  done;
+  Array.of_list (List.rev !misses)
+
+let tier_bench name ~promote tier =
+  Array.iter (fun k -> promote tier k ()) tier_misses;
+  let i = ref 0 in
+  Test.make ~name (Staged.stage (fun () ->
+      promote tier tier_misses.(!i) ();
+      i := (!i + 1) mod Array.length tier_misses))
+
+let test_tier_tick_scan =
+  tier_bench "tier: tick-scan promote at cap 410 (Zipf misses)"
+    ~promote:Tick_tier.promote (Tick_tier.create ~cap:410)
+
+let test_tier =
+  tier_bench "tier: promote at cap 410 (Zipf misses)"
+    ~promote:Flexbpf.State.Tier.promote (Flexbpf.State.Tier.create ~cap:410)
+
 let test_placement =
   Test.make ~name:"compiler: place 20-table program" (Staged.stage (fun () ->
       let path = Common.mk_path ~switches:3 () in
@@ -229,7 +299,7 @@ let benchmarks =
   [ test_interp_table; test_compiled_table; test_sketch_update;
     test_compiled_sketch_update; test_state_registers; test_state_flow;
     test_state_stateful; test_event_queue_boxed; test_event_queue;
-    test_placement; test_patch_apply ]
+    test_tier_tick_scan; test_tier; test_placement; test_patch_apply ]
 
 let strip_group name =
   String.concat "" (String.split_on_char '/' name |> List.tl)

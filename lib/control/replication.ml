@@ -84,8 +84,7 @@ let staleness t backup =
         (Flexbpf.State.entries p)
     in
     Int64.to_int (Int64.sub psum bsum)
-  | Some p, None ->
-    List.length (Flexbpf.State.entries p)
+  | Some p, None -> Flexbpf.State.size p
   | None, _ -> 0
 
 (* -- Failure handling --------------------------------------------------- *)

@@ -68,22 +68,147 @@ type fs_store = {
   mutable overflow_count : int;
 }
 
-(* One cell per key, mutated in place: value and last-touch tick live
-   together so the per-packet hot path does a single hashtable probe
-   instead of separate value and LRU bookkeeping lookups. *)
-type st_cell = { mutable sv : int64; mutable touched : int }
+(* -- LRU residency -------------------------------------------------------- *)
 
-type st_store = {
-  st_tbl : st_cell KH.t;
-  st_cap : int;
-  mutable tick : int;
-  mutable eviction_count : int;
-}
+(* The bounded key → value store behind the stateful table and the
+   device tier. Until the table first evicts, a touch only stamps the
+   key's cell with a fresh tick. The first eviction threads the cells,
+   in tick order, into a recency list linked by slot index over a pool
+   of [cap] slots with a free list; from then on a touch moves the slot
+   to the head and the victim is the tail. Both orders are last-touch
+   order, so the victims are exactly those of a smallest-tick scan, and
+   every operation after the one O(n log n) build is O(1). A table that
+   never evicts (a sketch sized to its key space) never pays for the
+   list's scattered relinks. *)
+module Lru = struct
+  (* [rank]: the last-touch tick before the list is built, the cell's
+     slot after. *)
+  type 'v cell = { mutable v : 'v; mutable rank : int }
+
+  type 'v t = {
+    tbl : 'v cell KH.t;
+    mutable cap : int;
+    mutable clock : int;
+    mutable keys : key array; (* slot → key; empty until the list is built *)
+    mutable links : int array; (* [2s]: prev of slot s, [2s+1]: next *)
+    mutable head : int; (* most recent slot, -1: none *)
+    mutable tail : int;
+    mutable free : int; (* free slots chain through next *)
+    mutable evicted : int;
+  }
+
+  let create ~cap =
+    let cap = max 1 cap in
+    { tbl = KH.create cap; cap; clock = 0; keys = [||]; links = [||];
+      head = -1; tail = -1; free = -1; evicted = 0 }
+
+  let length t = KH.length t.tbl
+  let mem t key = KH.mem t.tbl key
+  let listed t = Array.length t.keys > 0
+
+  let unlink t s =
+    let l = t.links in
+    let p = l.(2 * s) and n = l.((2 * s) + 1) in
+    if p >= 0 then l.((2 * p) + 1) <- n else t.head <- n;
+    if n >= 0 then l.(2 * n) <- p else t.tail <- p
+
+  let push_head t s =
+    let l = t.links in
+    l.(2 * s) <- -1;
+    l.((2 * s) + 1) <- t.head;
+    if t.head >= 0 then l.(2 * t.head) <- s else t.tail <- s;
+    t.head <- s
+
+  (* The rank of a newly bound [key]: the next tick, or a free slot at
+     the head of the list. *)
+  let fresh_rank t key =
+    if listed t then begin
+      let s = t.free in
+      t.free <- t.links.((2 * s) + 1);
+      t.keys.(s) <- key;
+      push_head t s;
+      s
+    end
+    else begin
+      t.clock <- t.clock + 1;
+      t.clock
+    end
+
+  (* The cell of [key], now the most recently touched; raises
+     [Not_found] (an option would allocate on every hit). *)
+  let use t key =
+    let c = KH.find t.tbl key in
+    if listed t then begin
+      let s = c.rank in
+      if s <> t.head then begin
+        unlink t s;
+        push_head t s
+      end
+    end
+    else begin
+      t.clock <- t.clock + 1;
+      c.rank <- t.clock
+    end;
+    c
+
+  let build t =
+    let by_tick = KH.fold (fun k c acc -> (c.rank, k, c) :: acc) t.tbl [] in
+    t.keys <- Array.make t.cap [];
+    t.links <- Array.make (2 * t.cap) (-1);
+    for s = t.cap - 1 downto 0 do
+      t.links.((2 * s) + 1) <- t.free;
+      t.free <- s
+    done;
+    List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) by_tick
+    |> List.iter (fun (_, k, c) -> c.rank <- fresh_rank t k)
+
+  let release t s =
+    unlink t s;
+    t.keys.(s) <- [];
+    t.links.((2 * s) + 1) <- t.free;
+    t.free <- s
+
+  (* Bind an absent [key] as the most recent entry, evicting the least
+     recent one first when full; true iff it evicted. *)
+  let insert t key v =
+    let full = KH.length t.tbl >= t.cap in
+    if full then begin
+      if not (listed t) then build t;
+      let s = t.tail in
+      KH.remove t.tbl t.keys.(s);
+      release t s;
+      t.evicted <- t.evicted + 1
+    end;
+    KH.replace t.tbl key { v; rank = fresh_rank t key };
+    full
+
+  (* Drop [key]; true iff it was bound. *)
+  let remove t key =
+    match KH.find t.tbl key with
+    | c ->
+      KH.remove t.tbl key;
+      if listed t then release t c.rank;
+      true
+    | exception Not_found -> false
+
+  (* Unbind everything, keeping the eviction count; [cap] resizes. The
+     list goes too, until the next eviction rebuilds it. *)
+  let clear ?cap t =
+    KH.reset t.tbl;
+    Option.iter (fun c -> t.cap <- max 1 c) cap;
+    t.keys <- [||];
+    t.links <- [||];
+    t.head <- -1;
+    t.tail <- -1;
+    t.free <- -1
+
+  let fold f t acc = KH.fold (fun k c acc -> f k c.v acc) t.tbl acc
+end
 
 type store =
   | Reg of (key option * int64) array
   | Fs of fs_store
-  | St of st_store
+  | St of int64 Lru.t
 
 type t = { name : string; store : store }
 
@@ -96,9 +221,7 @@ let create ~name ~size (enc : concrete) =
     | Registers -> Reg (Array.make size (None, 0L))
     | Flow_state ->
       Fs { fs_tbl = KH.create size; fs_cap = size; overflow_count = 0 }
-    | Stateful_table ->
-      St { st_tbl = KH.create size; st_cap = size; tick = 0;
-           eviction_count = 0 }
+    | Stateful_table -> St (Lru.create ~cap:size)
   in
   { name; store }
 
@@ -114,36 +237,14 @@ let encoding t =
   | Fs _ -> Flow_state
   | St _ -> Stateful_table
 
-let touch_cell (s : st_store) (c : st_cell) =
-  s.tick <- s.tick + 1;
-  c.touched <- s.tick
-
-let evict_lru s =
-  (* find least-recently used key *)
-  let victim =
-    KH.fold
-      (fun k (c : st_cell) acc ->
-        match acc with
-        | Some (_, best) when best <= c.touched -> acc
-        | _ -> Some (k, c.touched))
-      s.st_tbl None
-  in
-  match victim with
-  | Some (k, _) ->
-    KH.remove s.st_tbl k;
-    s.eviction_count <- s.eviction_count + 1
-  | None -> ()
-
 (* Hot-path probes use [KH.find] + exception rather than [find_opt]:
    the option would allocate on every hit. *)
 let get t key =
   match t.store with
   | Reg arr -> snd arr.(slot (Array.length arr) key)
   | Fs f -> (match KH.find f.fs_tbl key with v -> v | exception Not_found -> 0L)
-  | St s ->
-    (match KH.find s.st_tbl key with
-     | c -> touch_cell s c; c.sv
-     | exception Not_found -> 0L)
+  | St l ->
+    (match Lru.use l key with c -> c.v | exception Not_found -> 0L)
 
 let mem t key =
   match t.store with
@@ -152,12 +253,7 @@ let mem t key =
      | Some k -> key_equal k key
      | None -> false)
   | Fs f -> KH.mem f.fs_tbl key
-  | St s -> KH.mem s.st_tbl key
-
-let st_insert s key v =
-  if KH.length s.st_tbl >= s.st_cap then evict_lru s;
-  s.tick <- s.tick + 1;
-  KH.replace s.st_tbl key { sv = v; touched = s.tick }
+  | St l -> Lru.mem l key
 
 let put t key v =
   match t.store with
@@ -166,10 +262,10 @@ let put t key v =
     if KH.mem f.fs_tbl key then KH.replace f.fs_tbl key v
     else if KH.length f.fs_tbl < f.fs_cap then KH.replace f.fs_tbl key v
     else f.overflow_count <- f.overflow_count + 1
-  | St s ->
-    (match KH.find s.st_tbl key with
-     | c -> c.sv <- v; touch_cell s c
-     | exception Not_found -> st_insert s key v)
+  | St l ->
+    (match Lru.use l key with
+     | c -> c.v <- v
+     | exception Not_found -> ignore (Lru.insert l key v : bool))
 
 (* Specialised per encoding: [incr] is the per-packet hot operation
    (sketches, counters), and the generic get-then-put pays the key hash
@@ -191,13 +287,14 @@ let incr t key delta =
        if KH.length f.fs_tbl < f.fs_cap then KH.replace f.fs_tbl key delta
        else f.overflow_count <- f.overflow_count + 1;
        delta)
-  | St s ->
-    (match KH.find s.st_tbl key with
+  | St l ->
+    (match Lru.use l key with
      | c ->
-       c.sv <- Int64.add c.sv delta;
-       touch_cell s c;
-       c.sv
-     | exception Not_found -> st_insert s key delta; delta)
+       (* written back before it is returned: a let-bound sum would be
+          boxed once per use *)
+       c.v <- Int64.add c.v delta;
+       c.v
+     | exception Not_found -> ignore (Lru.insert l key delta : bool); delta)
 
 let del t key =
   match t.store with
@@ -207,7 +304,7 @@ let del t key =
      | Some k when key_equal k key -> arr.(i) <- (None, 0L)
      | _ -> ())
   | Fs f -> KH.remove f.fs_tbl key
-  | St s -> KH.remove s.st_tbl key
+  | St l -> ignore (Lru.remove l key : bool)
 
 let entries t =
   match t.store with
@@ -215,15 +312,22 @@ let entries t =
     Array.to_list arr
     |> List.filter_map (function Some k, v -> Some (k, v) | None, _ -> None)
   | Fs f -> KH.fold (fun k v acc -> (k, v) :: acc) f.fs_tbl []
-  | St s -> KH.fold (fun k c acc -> (k, c.sv) :: acc) s.st_tbl []
+  | St l -> Lru.fold (fun k v acc -> (k, v) :: acc) l []
 
-let size t = List.length (entries t)
+let size t =
+  match t.store with
+  | Reg arr ->
+    Array.fold_left
+      (fun n (k, _) -> if Option.is_some k then n + 1 else n)
+      0 arr
+  | Fs f -> KH.length f.fs_tbl
+  | St l -> Lru.length l
 
 let overflows t =
   match t.store with Fs f -> f.overflow_count | _ -> 0
 
 let evictions t =
-  match t.store with St s -> s.eviction_count | _ -> 0
+  match t.store with St l -> l.Lru.evicted | _ -> 0
 
 (** Logical snapshot: the migration representation. Deterministically
     ordered so snapshots are comparable in tests. *)
@@ -243,7 +347,7 @@ let clear t =
   match t.store with
   | Reg arr -> Array.fill arr 0 (Array.length arr) (None, 0L)
   | Fs f -> KH.reset f.fs_tbl
-  | St s -> KH.reset s.st_tbl
+  | St l -> Lru.clear l
 
 (** Merge a snapshot into an existing map by summing values — used by
     the data-plane migration protocol to fold in-flight updates into the
@@ -259,86 +363,54 @@ let merge_add t snap =
     about what it stores ([Compile] memoizes full first-match lookup
     {e results}, so priority semantics cannot be violated by partial
     residency); this module only owns bounded residency, LRU victim
-    selection via the same touch-tick scheme as [st_store], and the
-    tier telemetry (hits/misses/promotions/evictions/demotions). *)
+    selection through the same [Lru] core as the stateful table, and
+    the tier telemetry (hits/misses/promotions/evictions/demotions). *)
 module Tier = struct
-  type 'a cell = { mutable tv : 'a; mutable tt : int (* last-touch tick *) }
-
   type 'a t = {
-    tc_tbl : 'a cell KH.t;
-    mutable tc_cap : int;
-    mutable tc_tick : int;
+    tc_lru : 'a option Lru.t; (* values stored as [Some v]: a hit returns it *)
     mutable tc_hits : int;
     mutable tc_misses : int;
     mutable tc_promotions : int;
-    mutable tc_evictions : int;
     mutable tc_demotions : int;
   }
 
   let create ~cap =
-    { tc_tbl = KH.create (max 1 cap); tc_cap = max 1 cap; tc_tick = 0;
-      tc_hits = 0; tc_misses = 0; tc_promotions = 0; tc_evictions = 0;
-      tc_demotions = 0 }
+    { tc_lru = Lru.create ~cap; tc_hits = 0; tc_misses = 0;
+      tc_promotions = 0; tc_demotions = 0 }
 
-  let capacity t = t.tc_cap
-  let resident t = KH.length t.tc_tbl
+  let capacity t = t.tc_lru.Lru.cap
+  let resident t = Lru.length t.tc_lru
   let hits t = t.tc_hits
   let misses t = t.tc_misses
   let promotions t = t.tc_promotions
-  let evictions t = t.tc_evictions
+  let evictions t = t.tc_lru.Lru.evicted
   let demotions t = t.tc_demotions
 
   let find t key =
-    match KH.find t.tc_tbl key with
+    match Lru.use t.tc_lru key with
     | c ->
       t.tc_hits <- t.tc_hits + 1;
-      t.tc_tick <- t.tc_tick + 1;
-      c.tt <- t.tc_tick;
-      Some c.tv
+      c.v
     | exception Not_found ->
       t.tc_misses <- t.tc_misses + 1;
       None
 
-  let mem t key = KH.mem t.tc_tbl key
-
-  let evict_lru t =
-    let victim =
-      KH.fold
-        (fun k (c : _ cell) acc ->
-          match acc with
-          | Some (_, best) when best <= c.tt -> acc
-          | _ -> Some (k, c.tt))
-        t.tc_tbl None
-    in
-    match victim with
-    | Some (k, _) ->
-      KH.remove t.tc_tbl k;
-      t.tc_evictions <- t.tc_evictions + 1;
-      t.tc_demotions <- t.tc_demotions + 1
-    | None -> ()
+  let mem t key = Lru.mem t.tc_lru key
 
   let promote t key v =
-    match KH.find t.tc_tbl key with
-    | c ->
-      t.tc_tick <- t.tc_tick + 1;
-      c.tt <- t.tc_tick;
-      c.tv <- v
+    match Lru.use t.tc_lru key with
+    | c -> c.v <- Some v
     | exception Not_found ->
-      if KH.length t.tc_tbl >= t.tc_cap then evict_lru t;
-      t.tc_tick <- t.tc_tick + 1;
-      KH.replace t.tc_tbl key { tv = v; tt = t.tc_tick };
+      if Lru.insert t.tc_lru key (Some v) then
+        t.tc_demotions <- t.tc_demotions + 1;
       t.tc_promotions <- t.tc_promotions + 1
 
   let demote t key =
-    if KH.mem t.tc_tbl key then begin
-      KH.remove t.tc_tbl key;
-      t.tc_demotions <- t.tc_demotions + 1
-    end
+    if Lru.remove t.tc_lru key then t.tc_demotions <- t.tc_demotions + 1
 
   let flush ?cap t =
-    t.tc_demotions <- t.tc_demotions + KH.length t.tc_tbl;
-    KH.reset t.tc_tbl;
-    match cap with Some c -> t.tc_cap <- max 1 c | None -> ()
+    t.tc_demotions <- t.tc_demotions + Lru.length t.tc_lru;
+    Lru.clear ?cap t.tc_lru
 
-  let keys t = KH.fold (fun k _ acc -> k :: acc) t.tc_tbl []
+  let keys t = Lru.fold (fun k _ acc -> k :: acc) t.tc_lru []
 end

@@ -16,6 +16,9 @@
 
 type key = int64 list
 
+(** The monomorphic hashtable over [key] the keyed stores use. *)
+module KH : Hashtbl.S with type key = key
+
 type concrete = Registers | Flow_state | Stateful_table
 
 val concrete_of_encoding : Ast.map_encoding -> concrete option

@@ -35,14 +35,39 @@ end
 
 (** Time series sampled by experiments (e.g. queue depth over time). *)
 module Series = struct
-  type t = { mutable points : (float * float) list }
+  (* Two unboxed float columns, doubled as they fill: a point keeps two
+     words and no block of its own. *)
+  type t = {
+    mutable times : float array;
+    mutable values : float array;
+    mutable n : int;
+  }
 
-  let create () = { points = [] }
-  let add t ~time ~value = t.points <- (time, value) :: t.points
-  let to_list t = List.rev t.points
+  let create () = { times = [||]; values = [||]; n = 0 }
 
+  let add t ~time ~value =
+    if t.n = Array.length t.times then begin
+      let grow a =
+        let b = Array.make (Stdlib.max 16 (2 * t.n)) 0. in
+        Array.blit a 0 b 0 t.n;
+        b
+      in
+      t.times <- grow t.times;
+      t.values <- grow t.values
+    end;
+    t.times.(t.n) <- time;
+    t.values.(t.n) <- value;
+    t.n <- t.n + 1
+
+  let to_list t = List.init t.n (fun i -> (t.times.(i), t.values.(i)))
+
+  (* newest first: [Stdlib.max] is order-sensitive on nan and signed
+     zeros *)
   let max_value t =
-    List.fold_left (fun acc (_, v) -> Stdlib.max acc v) neg_infinity t.points
+    let m = ref neg_infinity in
+    for i = t.n - 1 downto 0 do m := Stdlib.max !m t.values.(i) done;
+    !m
 
-  let last t = match t.points with [] -> None | (ti, v) :: _ -> Some (ti, v)
+  let last t =
+    if t.n = 0 then None else Some (t.times.(t.n - 1), t.values.(t.n - 1))
 end
