@@ -109,7 +109,9 @@ let speedup_pairs =
     ( "event queue: boxed-record heap push+pop x64",
       "event queue: push+pop x64" );
     ( "tier: tick-scan promote at cap 410 (Zipf misses)",
-      "tier: promote at cap 410 (Zipf misses)" ) ]
+      "tier: promote at cap 410 (Zipf misses)" );
+    ( "typecheck: full check of a 130-element churn deployment",
+      "patch: one tenant arrival on it" ) ]
 
 let state_bench enc name =
   let st = Flexbpf.State.create ~name:"m" ~size:4096 enc in
@@ -295,11 +297,50 @@ let test_patch_apply =
   Test.make ~name:"patch: apply+typecheck" (Staged.stage (fun () ->
       ignore (Flexbpf.Patch.apply patch base)))
 
+(* A tenant_churn-sized deployment: the l2l3 infrastructure with churn
+   tenants composed on top (namespaced, VLAN-guarded) until it holds
+   130 elements, plus the next tenant's arrival patch, built the way
+   [Control.Tenants] builds an injection. *)
+let churn_deployment, churn_arrival =
+  let rec grow base vlan = function
+    | spec :: rest when List.length base.Flexbpf.Ast.pipeline < 130 ->
+      (match
+         Flexbpf.Compose.compose ~vlan ~base spec.Scenario.cs_program
+       with
+       | Ok base -> grow base (vlan + 1) rest
+       | Error _ -> grow base vlan rest)
+    | spec :: _ ->
+      let ext = Flexbpf.Compose.namespace spec.Scenario.cs_program in
+      let ops =
+        List.map (fun m -> Flexbpf.Patch.Add_map m) ext.Flexbpf.Ast.maps
+        @ List.map
+            (fun el ->
+              Flexbpf.Patch.Add_element
+                (Flexbpf.Patch.At_end, Flexbpf.Compose.guard_element ~vlan el))
+            ext.Flexbpf.Ast.pipeline
+      in
+      (base, Flexbpf.Patch.v ~owner:ext.Flexbpf.Ast.owner "arrival" ops)
+    | [] -> failwith "churn deployment: ran out of tenants"
+  in
+  grow (Apps.L2l3.program ()) 100 (Scenario.churn_specs ~seed:1 200)
+
+let test_typecheck_churn =
+  Test.make ~name:"typecheck: full check of a 130-element churn deployment"
+    (Staged.stage (fun () ->
+         ignore (Flexbpf.Typecheck.check_program churn_deployment)))
+
+let test_patch_churn =
+  if Result.is_error (Flexbpf.Patch.apply churn_arrival churn_deployment) then
+    failwith "churn arrival patch does not apply";
+  Test.make ~name:"patch: one tenant arrival on it" (Staged.stage (fun () ->
+      ignore (Flexbpf.Patch.apply churn_arrival churn_deployment)))
+
 let benchmarks =
   [ test_interp_table; test_compiled_table; test_sketch_update;
     test_compiled_sketch_update; test_state_registers; test_state_flow;
     test_state_stateful; test_event_queue_boxed; test_event_queue;
-    test_tier_tick_scan; test_tier; test_placement; test_patch_apply ]
+    test_tier_tick_scan; test_tier; test_placement; test_patch_apply;
+    test_typecheck_churn; test_patch_churn ]
 
 let strip_group name =
   String.concat "" (String.split_on_char '/' name |> List.tl)

@@ -19,6 +19,8 @@ open Flexbpf
 type deployment = {
   mutable dep_prog : Ast.program;
   mutable dep_placement : Placement.t;
+  mutable dep_typed : bool;
+      (* [dep_prog] is known to type-check: [Patch.apply]'s precondition *)
 }
 
 type report = {
@@ -135,10 +137,10 @@ let rec rotate r = function
   | x :: tl as l -> if r <= 0 then l else rotate (r - 1) (tl @ [ x ])
 
 (* One candidate plan for a patch, exploring preference lists rotated
-   by [rotation]. Pure: threads snapshots and a name->id map. *)
-let plan_once ~prefer_adjacent ~rotation ~path ~where:where0 ~old_prog
-    ~new_prog ~(diff : Patch.diff) plan_name =
-  let snaps0 = Placement.default_snaps path in
+   by [rotation]. Pure: threads snapshots (from [snaps0], the path's
+   current ones) and a name->id map. *)
+let plan_once ~prefer_adjacent ~rotation ~path ~snaps0 ~where:where0
+    ~old_prog ~new_prog ~(diff : Patch.diff) plan_name =
   let snaps = ref snaps0 in
   let where = ref where0 in
   let ops = ref [] in
@@ -295,7 +297,21 @@ let plan_once ~prefer_adjacent ~rotation ~path ~where:where0 ~old_prog
     rotation). [prefer_adjacent:false] is the A1 ablation baseline —
     same candidate generation, inverted preference order. *)
 let plan_patch ?(candidates = 3) ?(prefer_adjacent = true) dep patch =
-  match Patch.apply patch dep.dep_prog with
+  (* [Patch.apply] checks only what the patch changed, so it needs a
+     base that type-checks: one full check on the first patch, then
+     each committed patch result keeps [dep_typed]. A base that fails
+     it has every result checked whole instead, as before. *)
+  if not dep.dep_typed then
+    dep.dep_typed <- Typecheck.check_program dep.dep_prog = Ok ();
+  let applied =
+    match Patch.apply patch dep.dep_prog with
+    | Ok (new_prog, _) as ok when not dep.dep_typed ->
+      (match Typecheck.check_program new_prog with
+       | Ok () -> ok
+       | Error es -> Error (`Ill_typed es))
+    | r -> r
+  in
+  match applied with
   | Error (`Patch e) -> Error (Patch_error (Fmt.str "%a" Patch.pp_error e))
   | Error (`Ill_typed es) ->
     Error
@@ -308,10 +324,12 @@ let plan_patch ?(candidates = 3) ?(prefer_adjacent = true) dep patch =
         (fun (n, d) -> (n, Targets.Device.id d))
         dep.dep_placement.Placement.where
     in
+    (* snapshots are persistent: every candidate starts from the same *)
+    let snaps0 = Placement.default_snaps path in
     let k = max 1 candidates in
     let attempts =
       List.init k (fun rotation ->
-          plan_once ~prefer_adjacent ~rotation ~path ~where:where0
+          plan_once ~prefer_adjacent ~rotation ~path ~snaps0 ~where:where0
             ~old_prog:dep.dep_prog ~new_prog ~diff patch.Patch.patch_name)
     in
     let oks = List.filter_map Result.to_option attempts in

@@ -16,6 +16,11 @@
 type deployment = {
   mutable dep_prog : Flexbpf.Ast.program;
   mutable dep_placement : Placement.t;
+  mutable dep_typed : bool;
+      (* [dep_prog] is known to type-check. Start a deployment with
+         [false]; [plan_patch] sets it with one full check, a committed
+         patch keeps it, and whoever installs a program that did not
+         come from [plan_patch] clears it. *)
 }
 
 type report = {
@@ -54,8 +59,11 @@ type planned_change = {
   ch_candidates : int; (* candidate plans evaluated *)
 }
 
-(** Plan a patch against a live deployment without touching it.
-    Generates up to [candidates] (default 3) alternative plans by
+(** Plan a patch against a live deployment without touching its
+    program, placement or devices (only [dep_typed] may be set, by the
+    first full check of [dep_prog]). The patch result is checked as
+    {!Flexbpf.Patch.apply} does, or whole while [dep_prog] does not
+    type-check. Generates up to [candidates] (default 3) alternative plans by
     rotating the preference list at each placement decision and returns
     the one with least predicted total work (ties: fewer ops, then
     lowest rotation). [prefer_adjacent:false] is the A1 ablation

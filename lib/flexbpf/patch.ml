@@ -10,19 +10,7 @@
 
 open Ast
 
-(* Glob matching: '*' matches any substring, '?' any one character. *)
-let glob_matches pattern s =
-  let np = String.length pattern and ns = String.length s in
-  (* memoized recursive matcher; patterns are tiny so plain recursion ok *)
-  let rec go i j =
-    if i = np then j = ns
-    else
-      match pattern.[i] with
-      | '*' -> go (i + 1) j || (j < ns && go i (j + 1))
-      | '?' -> j < ns && go (i + 1) (j + 1)
-      | c -> j < ns && s.[j] = c && go (i + 1) (j + 1)
-  in
-  go 0 0
+let glob_matches = Netsim.Glob.matches ~qmark:true
 
 type selector =
   | Sel_name of string (* glob over element names *)
@@ -214,19 +202,71 @@ let apply_op (prog, diff) op =
     else
       Ok ({ prog with headers = prog.headers @ [ h ] }, diff)
 
-(** Apply all operations in order; the result is type-checked so a patch
-    can never produce an ill-formed program. *)
-let apply patch prog =
-  let rec go acc = function
-    | [] -> Ok acc
-    | op :: rest ->
-      (match apply_op acc op with
-       | Ok acc -> go acc rest
-       | Error e -> Error (`Patch e))
+(* Does the part of [prog] that [ops] changed type-check? [prog] is the
+   patched program and the base it came from type-checked, so only
+   these parts can hold an error: elements the ops inserted, replaced
+   or gave a new default (and the name uniqueness a replacement can
+   break); added maps, headers and parser rules; and every element that
+   reads a map an op removed, which may be gone or re-added with another
+   arity. Each part is checked against the whole patched program, so a
+   finding is always an error of [Typecheck.check_program prog]. *)
+let changes_typecheck ops prog =
+  let named n e = element_name e = n in
+  let touched e =
+    List.exists
+      (function
+        | Add_element (_, el) | Replace_element (_, el) ->
+          named (element_name el) e
+        | Set_default (sel, _) -> selector_matches sel e
+        | _ -> false)
+      ops
   in
-  match go (prog, empty_diff) patch.ops with
-  | Error _ as e -> e
+  let removed_maps =
+    List.filter_map (function Remove_map m -> Some m | _ -> None) ops
+  in
+  let reads_removed e =
+    removed_maps <> []
+    && List.exists (fun m -> List.mem m removed_maps) (Compose.element_maps e)
+  in
+  let part_ok = function
+    | Replace_element (_, el) ->
+      List.length (List.filter (named (element_name el)) prog.pipeline) = 1
+    | Add_map m ->
+      List.for_all
+        (fun (d : map_decl) ->
+          d.map_name <> m.map_name || Typecheck.check_map_decl d = [])
+        prog.maps
+    | Add_header h ->
+      List.for_all
+        (fun d -> d.hdr_name <> h.hdr_name || Typecheck.check_header d = [])
+        prog.headers
+    | Add_parser_rule r ->
+      List.for_all
+        (fun d ->
+          d.pr_name <> r.pr_name || Typecheck.check_parser_rule prog d = [])
+        prog.parser
+    | _ -> true
+  in
+  List.for_all part_ok ops
+  && List.for_all
+       (fun e ->
+         not (touched e || reads_removed e) || Typecheck.check_element prog e = [])
+       prog.pipeline
+
+(* The structural rewrite alone, unchecked. *)
+let rewrite patch prog =
+  List.fold_left
+    (fun acc op -> Result.bind acc (fun acc -> apply_op acc op))
+    (Ok (prog, empty_diff)) patch.ops
+
+(** Apply all operations in order to a base that type-checks; see the
+    interface for the contract. *)
+let apply patch prog =
+  match rewrite patch prog with
+  | Error e -> Error (`Patch e)
   | Ok (prog', diff) ->
-    (match Typecheck.check_program prog' with
-     | Ok () -> Ok (prog', diff)
-     | Error errs -> Error (`Ill_typed errs))
+    if changes_typecheck patch.ops prog' then Ok (prog', diff)
+    else
+      match Typecheck.check_program prog' with
+      | Ok () -> Ok (prog', diff)
+      | Error errs -> Error (`Ill_typed errs)

@@ -64,8 +64,21 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
-(** Apply all operations in order; the result is type-checked, so a
-    patch can never produce an ill-formed program. *)
+(** The operations applied in order, without the type check: the
+    program and diff [apply] returns when the result type-checks. For
+    tests that hold [apply] to [Typecheck.check_program]. *)
+val rewrite : t -> Ast.program -> (Ast.program * diff, error) result
+
+(** Apply all operations in order. Precondition: the base program
+    type-checks ([Typecheck.check_program] is [Ok]). The result then
+    type-checks too, so a patch can never produce an ill-formed
+    program; otherwise the patch is rejected with exactly the errors
+    [Typecheck.check_program] reports for the result. Only what the ops
+    changed is checked — inserted, replaced and re-defaulted elements,
+    added maps, headers and parser rules, and the elements that read a
+    removed map — so the cost follows the patch, not the program; on a
+    finding the whole result is checked for the error list. With an
+    ill-typed base the result may be ill-typed and still returned. *)
 val apply :
   t -> Ast.program ->
   (Ast.program * diff,

@@ -64,18 +64,8 @@ let plan t = t.plan
 let counters t = t.counters
 let rng t = t.rng
 
-(* Minimal glob: '*' matches any substring (the only metacharacter
-   fault plans need; netsim cannot reach Flexbpf.Patch's matcher). *)
-let glob_matches pat s =
-  let np = String.length pat and ns = String.length s in
-  let rec go p i =
-    if p = np then i = ns
-    else if pat.[p] = '*' then
-      let rec try_from j = j <= ns && (go (p + 1) j || try_from (j + 1)) in
-      try_from i
-    else i < ns && pat.[p] = s.[i] && go (p + 1) (i + 1)
-  in
-  go 0 0
+(* '*' is the only metacharacter fault plans need. *)
+let glob_matches = Glob.matches ~qmark:false
 
 (* Schedule [on] at window start and [off] at window stop, clipping to
    the present (binding mid-window arms immediately). Elapsed windows

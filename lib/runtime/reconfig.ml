@@ -502,7 +502,8 @@ let unplace ?obs (p : Compiler.Placement.t) =
 let deploy ?obs ~path prog =
   Result.map
     (fun placement ->
-      { Compiler.Incremental.dep_prog = prog; dep_placement = placement })
+      { Compiler.Incremental.dep_prog = prog; dep_placement = placement;
+        dep_typed = false })
     (place ?obs ~path prog)
 
 let commit_deployment (dep : Compiler.Incremental.deployment)
@@ -557,6 +558,7 @@ let full_recompile ?obs (dep : Compiler.Incremental.deployment) new_prog =
          | Error e -> Error (Compiler.Incremental.Exec_error e)
          | Ok () ->
            commit_deployment dep pc;
+           dep.dep_typed <- false; (* [new_prog] was never checked *)
            Ok pc.Compiler.Incremental.ch_report))
 
 (* -- Fungible compilation, executed ------------------------------------ *)

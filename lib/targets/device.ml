@@ -47,7 +47,7 @@ type t = {
   mutable headers : Ast.header_decl list;
   mutable parser : Ast.parser_rule list;
   mutable map_decls : Ast.map_decl list;
-  map_refs : (string, int) Hashtbl.t;
+  mutable map_refs : int Resource.Names.t; (* persistent: shared by snapshots *)
   env : Interp.env;
   mutable cached_program : Ast.program option;
   mutable compiled : Compile.t option; (* staged fast path for the live program *)
@@ -90,7 +90,7 @@ and checkpoint = {
   ck_pool_used : Resource.t;
   ck_tiles_used : (Arch.tile_kind * int) list;
   ck_pem_used : int;
-  ck_map_refs : (string * int) list;
+  ck_map_refs : int Resource.Names.t;
   ck_env_maps : string list; (* env map names present at freeze *)
   ck_env_tables : string list; (* registered table names at freeze *)
   ck_tier_caps : (string * int) list; (* device-tier bounds at freeze *)
@@ -119,7 +119,7 @@ let create ?(id = "dev") (profile : Arch.profile) =
     headers = [];
     parser = [];
     map_decls = [];
-    map_refs = Hashtbl.create 8;
+    map_refs = Resource.Names.empty;
     env = Interp.create_env empty_prog;
     cached_program = None;
     compiled = None;
@@ -189,9 +189,7 @@ let snapshot t : Resource.snapshot =
             pl_element = i.inst_element; pl_residency = i.residency })
         t.elements;
     parser_rules = List.map (fun r -> r.Ast.pr_name) t.parser;
-    map_refs =
-      List.sort compare
-        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.map_refs []);
+    map_refs = t.map_refs;
     pending_unref = [] }
 
 (* -- Demand computation --------------------------------------------- *)
@@ -306,8 +304,8 @@ let instantiate_maps t (ctx : Ast.program) element =
   Compose.element_maps element
   |> List.sort_uniq compare
   |> List.iter (fun name ->
-         match Hashtbl.find_opt t.map_refs name with
-         | Some n -> Hashtbl.replace t.map_refs name (n + 1)
+         match Resource.Names.find_opt name t.map_refs with
+         | Some n -> t.map_refs <- Resource.Names.add name (n + 1) t.map_refs
          | None ->
            (match Ast.find_map ctx name with
             | None -> ()
@@ -320,7 +318,7 @@ let instantiate_maps t (ctx : Ast.program) element =
               Interp.set_env_map t.env name
                 (State.create ~name ~size:decl.map_size enc);
               t.map_decls <- t.map_decls @ [ decl ];
-              Hashtbl.replace t.map_refs name 1))
+              t.map_refs <- Resource.Names.add name 1 t.map_refs))
 
 (** Install one element of [ctx] at pipeline position [order].
     Admission is delegated to [Resource.admit] over a snapshot — the
@@ -387,15 +385,15 @@ let release_maps t inst =
   Compose.element_maps inst.inst_element
   |> List.sort_uniq compare
   |> List.iter (fun name ->
-         match Hashtbl.find_opt t.map_refs name with
+         match Resource.Names.find_opt name t.map_refs with
          | None -> ()
          | Some 1 ->
-           Hashtbl.remove t.map_refs name;
+           t.map_refs <- Resource.Names.remove name t.map_refs;
            Interp.remove_env_map t.env name;
            t.map_decls <-
              List.filter (fun (m : Ast.map_decl) -> m.map_name <> name)
                t.map_decls
-         | Some n -> Hashtbl.replace t.map_refs name (n - 1))
+         | Some n -> t.map_refs <- Resource.Names.add name (n - 1) t.map_refs)
 
 let uninstall t name =
   match find_installed t name with
@@ -523,8 +521,7 @@ let freeze t =
           ck_tiles_used =
             Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tiles_used [];
           ck_pem_used = t.pem_used;
-          ck_map_refs =
-            Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.map_refs [];
+          ck_map_refs = t.map_refs;
           ck_env_maps = hashtbl_keys t.env.Interp.maps;
           ck_env_tables = hashtbl_keys t.env.Interp.tables;
           ck_tier_caps =
@@ -568,8 +565,7 @@ let rollback t =
     Hashtbl.reset t.tiles_used;
     List.iter (fun (k, v) -> Hashtbl.replace t.tiles_used k v) ck.ck_tiles_used;
     t.pem_used <- ck.ck_pem_used;
-    Hashtbl.reset t.map_refs;
-    List.iter (fun (k, v) -> Hashtbl.replace t.map_refs k v) ck.ck_map_refs;
+    t.map_refs <- ck.ck_map_refs;
     List.iter
       (fun name ->
         if not (List.mem name ck.ck_env_maps) then

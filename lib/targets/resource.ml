@@ -146,6 +146,8 @@ type placed = {
       (* present iff the element is a table admitted oversubscribed *)
 }
 
+module Names = Map.Make (String)
+
 type snapshot = {
   snap_device : string;
   shape : shape;
@@ -157,7 +159,7 @@ type snapshot = {
   pem_used : int;
   placed : placed list; (* sorted by pl_order *)
   parser_rules : string list; (* rule names, in device order *)
-  map_refs : (string * int) list;
+  map_refs : int Names.t; (* map name -> elements referencing it *)
   pending_unref : string list;
       (* map names whose refcount drop is deferred to [finalize] —
          mirrors the device's frozen-window deferred cleanups *)
@@ -171,7 +173,7 @@ let snap_tile_capacity snap kind =
   | Sh_tiled { tiles; _ } -> Option.value (List.assoc_opt kind tiles) ~default:0
   | _ -> 0
 
-let map_ref snap name = List.assoc_opt name snap.map_refs
+let map_ref snap name = Names.find_opt name snap.map_refs
 
 let find_placed snap name =
   List.find_opt (fun p -> p.pl_name = name) snap.placed
@@ -428,10 +430,11 @@ let admit snap ~(ctx : Ast.program) ~order element =
           |> List.sort_uniq compare
           |> List.fold_left
                (fun refs mname ->
-                 match List.assoc_opt mname refs with
-                 | Some n -> (mname, n + 1) :: List.remove_assoc mname refs
+                 match Names.find_opt mname refs with
+                 | Some n -> Names.add mname (n + 1) refs
                  | None ->
-                   if Ast.find_map ctx mname <> None then (mname, 1) :: refs
+                   if Ast.find_map ctx mname <> None then
+                     Names.add mname 1 refs
                    else refs)
                snap.map_refs
         in
@@ -476,10 +479,10 @@ let finalize snap =
   let map_refs =
     List.fold_left
       (fun refs name ->
-        match List.assoc_opt name refs with
+        match Names.find_opt name refs with
         | None -> refs
-        | Some 1 -> List.remove_assoc name refs
-        | Some n -> (name, n - 1) :: List.remove_assoc name refs)
+        | Some 1 -> Names.remove name refs
+        | Some n -> Names.add name (n - 1) refs)
       snap.map_refs snap.pending_unref
   in
   { snap with map_refs; pending_unref = [] }
@@ -606,9 +609,8 @@ let diff predicted actual =
     List.sort compare predicted.parser_rules
     <> List.sort compare actual.parser_rules
   then say "parser rules differ";
-  if
-    List.sort compare predicted.map_refs <> List.sort compare actual.map_refs
-  then say "map refcounts differ";
+  if not (Names.equal Int.equal predicted.map_refs actual.map_refs) then
+    say "map refcounts differ";
   List.rev !out
 
 let pp_snapshot ppf snap =

@@ -93,6 +93,9 @@ type placed = {
       (* present iff the element is a table admitted oversubscribed *)
 }
 
+(** Maps keyed by name, in name order. *)
+module Names : Map.S with type key = string
+
 type snapshot = {
   snap_device : string;
   shape : shape;
@@ -104,7 +107,9 @@ type snapshot = {
   pem_used : int;
   placed : placed list; (* sorted by pl_order *)
   parser_rules : string list; (* rule names, in device order *)
-  map_refs : (string * int) list;
+  map_refs : int Names.t;
+      (* map name -> number of placed elements referencing it;
+         persistent, so copying a snapshot shares it *)
   pending_unref : string list; (* deferred refcount drops, see [finalize] *)
 }
 

@@ -179,6 +179,66 @@ let prop_glob_question_length =
     (fun s ->
       Patch.glob_matches (String.make (String.length s) '?') s)
 
+(* The recursive matchers that [Netsim.Glob] replaced, kept as the
+   reference semantics: '*' tries every split point, so a pattern with
+   many stars backtracks exponentially. [patch_glob] is the old
+   [Patch.glob_matches] ('?' = any character), [faults_glob] the old
+   [Netsim.Faults.glob_matches] ('*' only). *)
+let patch_glob pattern s =
+  let np = String.length pattern and ns = String.length s in
+  let rec go i j =
+    if i = np then j = ns
+    else
+      match pattern.[i] with
+      | '*' -> go (i + 1) j || (j < ns && go i (j + 1))
+      | '?' -> j < ns && go (i + 1) (j + 1)
+      | c -> j < ns && s.[j] = c && go (i + 1) (j + 1)
+  in
+  go 0 0
+
+let faults_glob pat s =
+  let np = String.length pat and ns = String.length s in
+  let rec go p i =
+    if p = np then i = ns
+    else if pat.[p] = '*' then
+      let rec try_from j = j <= ns && (go (p + 1) j || try_from (j + 1)) in
+      try_from i
+    else i < ns && pat.[p] = s.[i] && go (p + 1) (i + 1)
+  in
+  go 0 0
+
+(* Short strings over a tiny alphabet with the metacharacters, so
+   patterns match often and stars meet stars. *)
+let glob_pair_arb =
+  let str n = QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; '*'; '?' ]) (int_range 0 n)) in
+  QCheck.make
+    ~print:(fun (p, s) -> Printf.sprintf "%S ~ %S" p s)
+    QCheck.Gen.(pair (str 8) (str 10))
+
+let prop_glob_patch_reference =
+  QCheck.Test.make ~name:"glob: Patch matcher = recursive reference"
+    ~count:2000 glob_pair_arb
+    (fun (p, s) -> Patch.glob_matches p s = patch_glob p s)
+
+let prop_glob_faults_reference =
+  QCheck.Test.make ~name:"glob: Faults matcher = recursive reference"
+    ~count:2000 glob_pair_arb
+    (fun (p, s) -> Netsim.Faults.glob_matches p s = faults_glob p s)
+
+(* Ten "*a" then "*b" against 40 a's: the recursive reference takes
+   tens of seconds on this; the greedy matcher is linear in stars. *)
+let test_glob_many_stars () =
+  let pattern = String.concat "" (List.init 10 (fun _ -> "*a")) ^ "*b" in
+  let name = String.make 40 'a' in
+  let t0 = Unix.gettimeofday () in
+  Alcotest.(check bool) "patch: no match" false (Patch.glob_matches pattern name);
+  Alcotest.(check bool) "faults: no match" false
+    (Netsim.Faults.glob_matches pattern name);
+  Alcotest.(check bool) "patch: match" true
+    (Patch.glob_matches pattern (name ^ "b"));
+  Alcotest.(check bool) "well under a second" true
+    (Unix.gettimeofday () -. t0 < 1.)
+
 (* -- Patch reversibility --------------------------------------------------------------- *)
 
 let small_block_gen =
@@ -219,6 +279,203 @@ let prop_patch_preserves_typing =
       with
       | Error _ -> false
       | Ok (p, _) -> Typecheck.check_program p = Ok ())
+
+(* -- Incremental patch check ------------------------------------------------ *)
+
+(* [Patch.apply] checks only what a patch changed. Against a base that
+   type-checks it must still agree exactly with the whole-program check
+   of the rewritten program: same Ok/Error, same error list. *)
+let apply_agrees base patch =
+  match (Patch.rewrite patch base, Patch.apply patch base) with
+  | Error e, Error (`Patch e') -> e = e'
+  | Ok (prog, diff), applied ->
+    (match (Typecheck.check_program prog, applied) with
+     | Ok (), Ok (prog', diff') -> prog = prog' && diff = diff'
+     | Error es, Error (`Ill_typed es') -> es = es'
+     | _ -> false)
+  | Error _, _ -> false
+
+(* Well-typed bases: an app program, and the same with namespaced,
+   VLAN-guarded tenant programs composed on top. *)
+let patch_bases =
+  let l2l3 = Apps.L2l3.program () in
+  let tenants =
+    [ Apps.Firewall.program ~owner:"t1" ~boundary:100 ();
+      Apps.Nat.program ~owner:"t2" ~public:901 ~subnet_lo:10 ~subnet_hi:20 ();
+      Apps.Acl.program ~owner:"t3" ~size:4096 () ]
+  in
+  let composed =
+    List.fold_left
+      (fun (base, vlan) ext ->
+        match Compose.compose ~vlan ~base ext with
+        | Ok p -> (p, vlan + 1)
+        | Error e ->
+          Alcotest.failf "compose: %a" Compose.pp_composition_error e)
+      (l2l3, 10) tenants
+    |> fst
+  in
+  List.iter
+    (fun p ->
+      if Typecheck.check_program p <> Ok () then
+        Alcotest.failf "base %s does not type-check" p.Ast.prog_name)
+    [ l2l3; composed ];
+  [| l2l3; composed |]
+
+(* Random ops drawn from the base's own names plus a few strangers, so
+   removals hit live maps, re-added maps change arity, replacements
+   collide and defaults name missing actions. *)
+let patch_op_gen (base : Ast.program) =
+  let open QCheck.Gen in
+  let elements = List.map Ast.element_name base.Ast.pipeline in
+  let tables =
+    List.filter_map
+      (function Ast.Table t -> Some t | Ast.Block _ -> None)
+      base.Ast.pipeline
+  in
+  let base_maps = List.map (fun (m : Ast.map_decl) -> m.map_name) base.Ast.maps in
+  let maps = "ghost" :: "fresh_map" :: base_maps in
+  (* mostly names the op can take, sometimes ones it rejects *)
+  let fresh_or names fresh =
+    frequency [ (3, oneofl fresh); (1, oneofl names) ]
+  in
+  let headers = List.map (fun h -> h.Ast.hdr_name) base.Ast.headers in
+  let rules = List.map (fun r -> r.Ast.pr_name) base.Ast.parser in
+  let reader =
+    map3
+      (fun name m arity ->
+        Builder.block name
+          [ Builder.map_incr m (List.init arity (fun i -> Builder.const i)) ])
+      (oneofl ("x_new" :: "x_other" :: elements))
+      (oneofl maps) (int_range 1 3)
+  in
+  let sel = map (fun n -> Patch.Sel_name n) (oneofl ("t1/*" :: elements)) in
+  oneof
+    [ map2
+        (fun pos el -> Patch.Add_element (pos, el))
+        (oneof
+           [ return Patch.At_end; return Patch.At_start;
+             map (fun s -> Patch.Before s) sel ])
+        reader;
+      map (fun s -> Patch.Remove_element s) sel;
+      map2 (fun s el -> Patch.Replace_element (s, el)) sel reader;
+      (if tables = [] then map (fun s -> Patch.Remove_element s) sel
+       else
+         map3
+           (fun (t : Ast.table) act nargs ->
+             Patch.Set_default
+               ( Patch.Sel_name t.tbl_name,
+                 ( (match act with
+                    | Some a -> a.Ast.act_name
+                    | None -> "undefined"),
+                   List.init nargs Int64.of_int ) ))
+           (oneofl tables)
+           (oneof
+              [ return None;
+                map Option.some
+                  (oneofl
+                     (List.concat_map (fun (t : Ast.table) -> t.tbl_actions) tables)) ])
+           (int_range 0 2));
+      map3
+        (fun name arity size ->
+          Patch.Add_map (Builder.map_decl ~key_arity:arity ~size name))
+        (fresh_or base_maps [ "fresh_map"; "ghost" ])
+        (int_range 0 3) (oneofl [ 0; 64 ]);
+      map (fun m -> Patch.Remove_map m) (fresh_or [ "ghost" ] base_maps);
+      map2
+        (fun name dup ->
+          Patch.Add_header
+            (Builder.header name
+               (if dup then [ ("a", 8); ("a", 8) ] else [ ("a", 8); ("b", 16) ])))
+        (fresh_or headers [ "gre" ]) bool;
+      map2
+        (fun name hs -> Patch.Add_parser_rule (Builder.parser_rule name hs))
+        (oneofl [ "parse_x"; "parse_y" ])
+        (list_size (int_range 1 3) (oneofl ("gre" :: "nosuch" :: headers)));
+      map (fun n -> Patch.Remove_parser_rule n) (oneofl ("parse_x" :: rules)) ]
+
+let pp_patch_op ppf = function
+  | Patch.Add_element (_, el) -> Fmt.pf ppf "add %s" (Ast.element_name el)
+  | Patch.Remove_element s -> Fmt.pf ppf "rm %a" Patch.pp_selector s
+  | Patch.Replace_element (s, el) ->
+    Fmt.pf ppf "replace %a by %s" Patch.pp_selector s (Ast.element_name el)
+  | Patch.Set_default (s, (a, args)) ->
+    Fmt.pf ppf "default %a %s/%d" Patch.pp_selector s a (List.length args)
+  | Patch.Add_parser_rule r -> Fmt.pf ppf "add-rule %s" r.Ast.pr_name
+  | Patch.Remove_parser_rule n -> Fmt.pf ppf "rm-rule %s" n
+  | Patch.Add_map m -> Fmt.pf ppf "add-map %s/%d" m.Ast.map_name m.Ast.key_arity
+  | Patch.Remove_map m -> Fmt.pf ppf "rm-map %s" m
+  | Patch.Add_header h -> Fmt.pf ppf "add-header %s" h.Ast.hdr_name
+
+let patch_case_arb =
+  QCheck.make
+    ~print:(fun (i, ops) ->
+      Fmt.str "base %d: %a" i Fmt.(list ~sep:(any "; ") pp_patch_op) ops)
+    QCheck.Gen.(
+      int_bound (Array.length patch_bases - 1) >>= fun i ->
+      map (fun ops -> (i, ops))
+        (list_size (int_range 1 4) (patch_op_gen patch_bases.(i))))
+
+let prop_patch_check_differential =
+  QCheck.Test.make ~name:"patch: incremental check = whole-program check"
+    ~count:500 patch_case_arb
+    (fun (i, ops) -> apply_agrees patch_bases.(i) (Patch.v "p" ops))
+
+(* The cases the incremental check must not miss, each with the
+   outcome the whole-program check gives. *)
+let test_patch_check_adversarial () =
+  let base = patch_bases.(1) in
+  let reads m arity =
+    Builder.block "x_new"
+      [ Builder.map_incr m (List.init arity (fun i -> Builder.const i)) ]
+  in
+  let cases =
+    [ ( "replace with a colliding name",
+        [ Patch.Replace_element
+            (Patch.Sel_name "ttl_guard", Builder.block "acl" [ Ast.Nop ]) ],
+        false );
+      ( "remove a map an untouched element reads",
+        [ Patch.Remove_map "port_counters" ],
+        false );
+      ( "re-add a removed map with another arity",
+        [ Patch.Remove_map "port_counters";
+          Patch.Add_map (Builder.map_decl ~key_arity:2 ~size:64 "port_counters") ],
+        false );
+      ( "re-add a removed map with the same arity",
+        [ Patch.Remove_map "port_counters";
+          Patch.Add_map (Builder.map_decl ~key_arity:1 ~size:32 "port_counters") ],
+        true );
+      ( "added map with size 0",
+        [ Patch.Add_map (Builder.map_decl ~key_arity:1 ~size:0 "fresh_map") ],
+        false );
+      ( "added element reads an infra map with the wrong arity",
+        [ Patch.Add_element (Patch.At_end, reads "port_counters" 2) ],
+        false );
+      ( "added element reads an infra map correctly",
+        [ Patch.Add_element (Patch.At_end, reads "port_counters" 1) ],
+        true );
+      ( "default to an undefined action",
+        [ Patch.Set_default (Patch.Sel_name "acl", ("undefined", [])) ],
+        false );
+      ( "header with duplicate fields",
+        [ Patch.Add_header (Builder.header "gre" [ ("a", 8); ("a", 8) ]) ],
+        false );
+      ( "header and parser rule",
+        [ Patch.Add_header (Builder.header "gre" [ ("proto", 16) ]);
+          Patch.Add_parser_rule
+            (Builder.parser_rule "parse_gre" [ "ethernet"; "gre" ]) ],
+        true );
+      ( "parser rule over an unknown header",
+        [ Patch.Add_parser_rule
+            (Builder.parser_rule "parse_gre" [ "ethernet"; "gre" ]) ],
+        false ) ]
+  in
+  List.iter
+    (fun (what, ops, ok) ->
+      let patch = Patch.v "p" ops in
+      Alcotest.(check bool) (what ^ ": agrees") true (apply_agrees base patch);
+      Alcotest.(check bool) (what ^ ": outcome") ok
+        (Result.is_ok (Patch.apply patch base)))
+    cases
 
 (* -- Count-min sketch soundness ----------------------------------------------------------- *)
 
@@ -574,10 +831,16 @@ let () =
         [ to_alcotest prop_glob_literal_reflexive;
           to_alcotest prop_glob_star_suffix;
           to_alcotest prop_glob_star_everything;
-          to_alcotest prop_glob_question_length ] );
+          to_alcotest prop_glob_question_length;
+          to_alcotest prop_glob_patch_reference;
+          to_alcotest prop_glob_faults_reference;
+          Alcotest.test_case "many stars" `Quick test_glob_many_stars ] );
       ( "patch",
         [ to_alcotest prop_patch_add_remove_identity;
-          to_alcotest prop_patch_preserves_typing ] );
+          to_alcotest prop_patch_preserves_typing;
+          to_alcotest prop_patch_check_differential;
+          Alcotest.test_case "incremental check: adversarial" `Quick
+            test_patch_check_adversarial ] );
       ( "sketch", [ to_alcotest prop_sketch_never_underestimates ] );
       ( "resources",
         [ to_alcotest prop_resource_add_sub;

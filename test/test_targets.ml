@@ -442,6 +442,75 @@ let test_freeze_defers_cleanup () =
   Targets.Device.thaw dev;
   check "map released at thaw" true (Targets.Device.map_state dev "cnt" = None)
 
+(* -- Map refcounts -------------------------------------------------------- *)
+
+(* Three maps; "mid" is read by two elements. *)
+let refcount_device () =
+  let dev = Targets.Device.create Targets.Arch.drmt in
+  let maps =
+    List.map (fun n -> map_decl ~key_arity:1 ~size:16 n) [ "zeta"; "alpha"; "mid" ]
+  in
+  let ctx =
+    program "ctx" ~maps
+      [ block "z" [ map_incr "zeta" [ const 0 ]; map_incr "mid" [ const 0 ] ];
+        block "a" [ map_incr "alpha" [ const 0 ] ];
+        block "m" [ map_incr "mid" [ const 1 ] ] ]
+  in
+  (match Targets.Device.install_program dev ctx with
+   | Ok () -> ()
+   | Error r -> Alcotest.failf "install: %s" (Targets.Device.reject_to_string r));
+  (dev, ctx)
+
+let refcounts dev =
+  Targets.Resource.Names.bindings
+    (Targets.Device.snapshot dev).Targets.Resource.map_refs
+
+let test_refcounts_in_name_order () =
+  let dev, _ = refcount_device () in
+  Alcotest.(check (list (pair string int)))
+    "refcounts by name" [ ("alpha", 1); ("mid", 2); ("zeta", 1) ]
+    (refcounts dev)
+
+let test_diff_reports_one_refcount () =
+  let dev, _ = refcount_device () in
+  let snap = Targets.Device.snapshot dev in
+  Alcotest.(check (list string)) "equal snapshots" []
+    (Targets.Resource.diff snap (Targets.Device.snapshot dev));
+  let drifted =
+    { snap with
+      Targets.Resource.map_refs =
+        Targets.Resource.Names.add "mid" 3 snap.Targets.Resource.map_refs }
+  in
+  Alcotest.(check (list string)) "one count off" [ "map refcounts differ" ]
+    (Targets.Resource.diff snap drifted);
+  let missing =
+    { snap with
+      Targets.Resource.map_refs =
+        Targets.Resource.Names.remove "alpha" snap.Targets.Resource.map_refs }
+  in
+  Alcotest.(check (list string)) "one map missing" [ "map refcounts differ" ]
+    (Targets.Resource.diff missing snap)
+
+let test_rollback_restores_refcounts () =
+  let dev, ctx = refcount_device () in
+  let before = refcounts dev in
+  Targets.Device.freeze dev;
+  (* inside the window: a new map, one more reader of "mid", and an
+     uninstall whose unrefs are deferred to the thaw *)
+  let extra = block "x" [ map_incr "mid" [ const 2 ]; map_incr "new" [ const 0 ] ] in
+  let ctx' =
+    { ctx with
+      Flexbpf.Ast.maps = map_decl ~key_arity:1 ~size:16 "new" :: ctx.Flexbpf.Ast.maps }
+  in
+  (match Targets.Device.install dev ~ctx:ctx' ~order:3 extra with
+   | Ok _ -> ()
+   | Error r -> Alcotest.failf "install: %s" (Targets.Device.reject_to_string r));
+  check "uninstalled" true (Targets.Device.uninstall dev "a");
+  check "window changed the counts" true (refcounts dev <> before);
+  Targets.Device.rollback dev;
+  Alcotest.(check (list (pair string int))) "counts from before freeze" before
+    (refcounts dev)
+
 let test_epoch_stamping () =
   let dev = Targets.Device.create Targets.Arch.drmt in
   let ctx = prog_of [ small_table "t" ] in
@@ -519,7 +588,13 @@ let () =
           Alcotest.test_case "parser capacity" `Quick test_parser_capacity;
           Alcotest.test_case "freeze/thaw" `Quick test_freeze_thaw_visibility;
           Alcotest.test_case "deferred cleanup" `Quick test_freeze_defers_cleanup;
-          Alcotest.test_case "epoch stamping" `Quick test_epoch_stamping ] );
+          Alcotest.test_case "epoch stamping" `Quick test_epoch_stamping;
+          Alcotest.test_case "refcounts in name order" `Quick
+            test_refcounts_in_name_order;
+          Alcotest.test_case "diff reports one refcount" `Quick
+            test_diff_reports_one_refcount;
+          Alcotest.test_case "rollback restores refcounts" `Quick
+            test_rollback_restores_refcounts ] );
       ( "state+energy",
         [ Alcotest.test_case "snapshot conversion" `Quick
             test_load_snapshot_converts_encoding;
