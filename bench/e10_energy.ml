@@ -52,17 +52,17 @@ let run_case ~load_fraction =
   let placement = deploy_spread path in
   let consolidate = load_fraction < 0.5 in
   let report =
-    if consolidate then Some (Compiler.Energy.consolidate placement) else None
+    if consolidate then Some (Runtime.Energy.consolidate placement) else None
   in
   let managed_energy = energy path in
   let watts_before, watts_after, off, moves =
     match report with
     | Some r ->
-      ( r.Compiler.Energy.watts_before, r.Compiler.Energy.watts_after,
-        List.length r.Compiler.Energy.powered_off,
-        List.length r.Compiler.Energy.moves )
+      ( r.Runtime.Energy.watts_before, r.Runtime.Energy.watts_after,
+        List.length r.Runtime.Energy.powered_off,
+        List.length r.Runtime.Energy.moves )
     | None ->
-      let w = Compiler.Energy.total_watts path in
+      let w = Runtime.Energy.total_watts path in
       (w, w, 0, 0)
   in
   [ Report.pct load_fraction;

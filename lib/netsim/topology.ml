@@ -211,53 +211,3 @@ let leaf_spine ~sim ?(spines = 2) ?(leaves = 4) ?(hosts_per_leaf = 2)
       (List.init leaves Fun.id)
   in
   { topo = t; host_list; switch_list = spine_list @ leaf_list }
-
-(** Canonical k-ary fat tree (k even): (k/2)^2 cores, k pods of k/2 agg +
-    k/2 edge switches, (k/2) hosts per edge. *)
-let fat_tree ~sim ?(k = 4) ?(link_bandwidth = 10e9) ?(link_delay = 1e-6)
-    ?(queue_capacity = 256) ?(ecn_threshold = 0) () =
-  if k mod 2 <> 0 then invalid_arg "Topology.fat_tree: k must be even";
-  let t = create sim in
-  let conn a b =
-    ignore
-      (connect ~bandwidth:link_bandwidth ~delay:link_delay ~queue_capacity
-         ~ecn_threshold t a b)
-  in
-  let half = k / 2 in
-  let cores =
-    List.init (half * half) (fun i -> add_switch t (Printf.sprintf "core%d" i))
-  in
-  let pods =
-    List.init k (fun p ->
-        let aggs =
-          List.init half (fun i -> add_switch t (Printf.sprintf "agg%d_%d" p i))
-        in
-        let edges =
-          List.init half (fun i -> add_switch t (Printf.sprintf "edge%d_%d" p i))
-        in
-        List.iter (fun a -> List.iter (fun e -> conn a e) edges) aggs;
-        (aggs, edges))
-  in
-  (* core j connects to agg (j / half) in every pod *)
-  List.iteri
-    (fun j core ->
-      List.iter (fun (aggs, _) -> conn core (List.nth aggs (j / half))) pods)
-    cores;
-  let host_list =
-    List.concat_map
-      (fun (_, edges) ->
-        List.concat_map
-          (fun edge ->
-            List.init half (fun i ->
-                let h =
-                  add_host t (Printf.sprintf "h_%s_%d" edge.Node.name i)
-                in
-                conn h edge;
-                h))
-          edges)
-      pods
-  in
-  let switch_list =
-    cores @ List.concat_map (fun (aggs, edges) -> aggs @ edges) pods
-  in
-  { topo = t; host_list; switch_list }

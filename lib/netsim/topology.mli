@@ -60,9 +60,3 @@ val leaf_spine :
   sim:Sim.t -> ?spines:int -> ?leaves:int -> ?hosts_per_leaf:int ->
   ?link_bandwidth:float -> ?link_delay:float -> ?queue_capacity:int ->
   ?ecn_threshold:int -> unit -> built
-
-(** Canonical k-ary fat tree (k even): (k/2)^2 cores, k pods.
-    @raise Invalid_argument if [k] is odd. *)
-val fat_tree :
-  sim:Sim.t -> ?k:int -> ?link_bandwidth:float -> ?link_delay:float ->
-  ?queue_capacity:int -> ?ecn_threshold:int -> unit -> built

@@ -109,7 +109,14 @@ let elastic_defense ?on_inject ?on_retire ~name ~victim net =
 let count_min_device ?(width = 512) id =
   let dev = Targets.Device.create ~id Targets.Arch.drmt in
   let cfg = { Apps.Cm_sketch.depth = 3; width; map_name = "cms" } in
-  ignore (Targets.Device.install_program dev (Apps.Cm_sketch.program ~cfg ()));
+  let prog = Apps.Cm_sketch.program ~cfg () in
+  let install order element =
+    Compiler.Plan.Install { device = id; element; ctx = prog; order }
+  in
+  let plan =
+    Compiler.Plan.v "count-min" (List.mapi install prog.Flexbpf.Ast.pipeline)
+  in
+  ignore (Runtime.Reconfig.run_plan ~devices:[ dev ] plan);
   dev
 
 type migration = { expected : int; present : int; window : float }

@@ -4,9 +4,12 @@
     interpreter); they differ in *where* an element may be placed and
     what it costs — which is exactly the paper's fungibility taxonomy.
     The device performs its own internal slotting (stage / tile / pool /
-    PEM), mirroring how vendor backends hide physical layout behind the
-    device API; the global compiler only picks which device hosts which
-    element. *)
+    PEM), as vendor backends hide physical layout behind the device
+    API; the global compiler only picks which device hosts which
+    element. The resource state is one [Resource.snapshot], changed
+    only by the [Resource] functions the compiler plans with; this
+    module adds the interpreter environment, the program, and the
+    two-version window around it. *)
 
 open Flexbpf
 
@@ -15,20 +18,6 @@ type slot = Resource.slot =
   | In_tiles of Arch.tile_kind * int (* tile kind, number of tiles *)
   | In_pool
   | In_pem
-
-let slot_to_string = Resource.slot_to_string
-
-type installed = {
-  inst_element : Ast.element;
-  inst_owner : string;
-  demand : Resource.t;
-  maps_charged : (string * int) list; (* map name, bytes charged here *)
-  residency : Resource.residency option;
-      (* oversubscribed table: bounded device tier over a host tier *)
-  mutable slot : slot;
-  order : int;
-  mutable active : bool; (* controller-maintained "in use" bit *)
-}
 
 type reject = Resource.reject =
   | No_capacity of string
@@ -39,15 +28,12 @@ let reject_to_string = Resource.reject_to_string
 type t = {
   dev_id : string;
   profile : Arch.profile;
-  stage_used : Resource.t array;
-  mutable pool_used : Resource.t;
-  tiles_used : (Arch.tile_kind, int) Hashtbl.t;
-  mutable pem_used : int;
-  mutable elements : installed list; (* kept sorted by order *)
+  mutable res : Resource.snapshot;
+      (* the resource state: occupancy, placed elements, parser rule
+         names, map refcounts — updated only by [Resource] functions *)
   mutable headers : Ast.header_decl list;
   mutable parser : Ast.parser_rule list;
   mutable map_decls : Ast.map_decl list;
-  mutable map_refs : int Resource.Names.t; (* persistent: shared by snapshots *)
   env : Interp.env;
   mutable cached_program : Ast.program option;
   mutable compiled : Compile.t option; (* staged fast path for the live program *)
@@ -77,32 +63,41 @@ type t = {
   mutable obs_pkt : (int * int ref) option; (* version, counter handle *)
 }
 
-(** Structural state captured at [freeze]. Map {e contents} are not
-    snapshotted: traffic keeps mutating state under the old program
-    during the window, and rollback must not clobber those updates —
-    only maps and tables {e added} by the aborted update are removed. *)
+(** Structural state captured at [freeze]. The resource state is an
+    immutable snapshot, so the checkpoint keeps the old value. Map
+    {e contents} are not captured: traffic keeps mutating state under
+    the old program during the window, and rollback must not clobber
+    those updates — only maps and tables {e added} by the aborted
+    update are removed. *)
 and checkpoint = {
-  ck_elements : installed list; (* records copied: slots may move *)
+  ck_res : Resource.snapshot;
   ck_headers : Ast.header_decl list;
   ck_parser : Ast.parser_rule list;
   ck_map_decls : Ast.map_decl list;
-  ck_stage_used : Resource.t array;
-  ck_pool_used : Resource.t;
-  ck_tiles_used : (Arch.tile_kind * int) list;
-  ck_pem_used : int;
-  ck_map_refs : int Resource.Names.t;
   ck_env_maps : string list; (* env map names present at freeze *)
   ck_env_tables : string list; (* registered table names at freeze *)
   ck_tier_caps : (string * int) list; (* device-tier bounds at freeze *)
   ck_version : int;
 }
 
-(** The compiler's state-encoding selection (§3.1): each architecture
-    class has a natural physical encoding for logical maps. *)
+(* The compiler's state-encoding selection (§3.1): each architecture
+   class has a natural physical encoding for logical maps. *)
 let default_encoding_of_kind : Arch.kind -> State.concrete = function
   | Arch.Rmt | Arch.Elastic_pipe -> State.Registers
   | Arch.Drmt | Arch.Tiles -> State.Stateful_table
   | Arch.Smartnic | Arch.Fpga | Arch.Host_ebpf -> State.Flow_state
+
+let shape_of_profile (p : Arch.profile) : Resource.shape =
+  match p.kind with
+  | Arch.Rmt -> Resource.Sh_staged { stages = p.stages; per_stage = p.per_stage }
+  | Arch.Elastic_pipe ->
+    Resource.Sh_staged_pem
+      { stages = p.stages; per_stage = p.per_stage; pem_slots = p.pem_slots }
+  | Arch.Tiles ->
+    Resource.Sh_tiled
+      { tiles = p.tiles; tile_bytes = p.tile_bytes; pool = p.pool }
+  | Arch.Drmt | Arch.Smartnic | Arch.Fpga | Arch.Host_ebpf ->
+    Resource.Sh_pooled { pool = p.pool }
 
 let create ?(id = "dev") (profile : Arch.profile) =
   let empty_prog =
@@ -111,15 +106,22 @@ let create ?(id = "dev") (profile : Arch.profile) =
   in
   { dev_id = id;
     profile;
-    stage_used = Array.make (max 1 profile.stages) Resource.zero;
-    pool_used = Resource.zero;
-    tiles_used = Hashtbl.create 4;
-    pem_used = 0;
-    elements = [];
+    res =
+      { Resource.snap_device = id;
+        shape = shape_of_profile profile;
+        max_block_cycles = profile.max_block_cycles;
+        parser_capacity = profile.parser_capacity;
+        stage_used = Array.make (max 1 profile.stages) Resource.zero;
+        pool_used = Resource.zero;
+        tiles_used = [];
+        pem_used = 0;
+        placed = [];
+        parser_rules = [];
+        map_refs = Resource.Names.empty;
+        pending_unref = [] };
     headers = [];
     parser = [];
     map_decls = [];
-    map_refs = Resource.Names.empty;
     env = Interp.create_env empty_prog;
     cached_program = None;
     compiled = None;
@@ -145,104 +147,16 @@ let set_obs ?(labels = []) t scope =
 let version t = t.version
 let env t = t.env
 let processed t = t.processed
-let installed_names t = List.map (fun i -> Ast.element_name i.inst_element) t.elements
-
-let find_installed t name =
-  List.find_opt (fun i -> Ast.element_name i.inst_element = name) t.elements
-
-let tiles_in_use t kind =
-  Option.value (Hashtbl.find_opt t.tiles_used kind) ~default:0
-
-(* -- Resource snapshot ------------------------------------------------ *)
-
-let shape_of_profile (p : Arch.profile) : Resource.shape =
-  match p.kind with
-  | Arch.Rmt -> Resource.Sh_staged { stages = p.stages; per_stage = p.per_stage }
-  | Arch.Elastic_pipe ->
-    Resource.Sh_staged_pem
-      { stages = p.stages; per_stage = p.per_stage; pem_slots = p.pem_slots }
-  | Arch.Tiles ->
-    Resource.Sh_tiled
-      { tiles = p.tiles; tile_bytes = p.tile_bytes; pool = p.pool }
-  | Arch.Drmt | Arch.Smartnic | Arch.Fpga | Arch.Host_ebpf ->
-    Resource.Sh_pooled { pool = p.pool }
-
-(** An immutable copy of this device's resource state: what the
-    compiler plans against, and what [admit] below checks installs
-    against, so planning and live admission share one model. *)
-let snapshot t : Resource.snapshot =
-  { Resource.snap_device = t.dev_id;
-    shape = shape_of_profile t.profile;
-    max_block_cycles = t.profile.max_block_cycles;
-    parser_capacity = t.profile.parser_capacity;
-    stage_used = Array.copy t.stage_used;
-    pool_used = t.pool_used;
-    tiles_used =
-      List.sort compare
-        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tiles_used []);
-    pem_used = t.pem_used;
-    placed =
-      List.map
-        (fun i ->
-          { Resource.pl_name = Ast.element_name i.inst_element;
-            pl_order = i.order; pl_slot = i.slot; pl_demand = i.demand;
-            pl_element = i.inst_element; pl_residency = i.residency })
-        t.elements;
-    parser_rules = List.map (fun r -> r.Ast.pr_name) t.parser;
-    map_refs = t.map_refs;
-    pending_unref = [] }
-
-(* -- Demand computation --------------------------------------------- *)
-
-(** Resource demand of an element within context program [ctx],
-    including the maps it references that are not yet present on this
-    device (first referencing element pays for the map). *)
-let element_demand t ~(ctx : Ast.program) element =
-  Resource.element_demand (snapshot t) ~ctx element
-
-(* -- Admission ------------------------------------------------------- *)
-
-let stage_free t s = Resource.sub t.profile.per_stage t.stage_used.(s)
-
-(* -- Occupancy bookkeeping ------------------------------------------- *)
-
-let charge t slot demand =
-  match slot with
-  | In_stage s -> t.stage_used.(s) <- Resource.add t.stage_used.(s) demand
-  | In_pool -> t.pool_used <- Resource.add t.pool_used demand
-  | In_pem -> t.pem_used <- t.pem_used + 1
-  | In_tiles (k, n) ->
-    Hashtbl.replace t.tiles_used k (tiles_in_use t k + n);
-    let pool_demand =
-      Resource.v ~action_slots:demand.Resource.action_slots
-        ~instructions:demand.Resource.instructions ()
-    in
-    t.pool_used <- Resource.add t.pool_used pool_demand
-
-let refund t slot demand =
-  match slot with
-  | In_stage s -> t.stage_used.(s) <- Resource.sub t.stage_used.(s) demand
-  | In_pool -> t.pool_used <- Resource.sub t.pool_used demand
-  | In_pem -> t.pem_used <- t.pem_used - 1
-  | In_tiles (k, n) ->
-    Hashtbl.replace t.tiles_used k (tiles_in_use t k - n);
-    let pool_demand =
-      Resource.v ~action_slots:demand.Resource.action_slots
-        ~instructions:demand.Resource.instructions ()
-    in
-    t.pool_used <- Resource.sub t.pool_used pool_demand
+let snapshot t = t.res
+let installed_names t = List.map (fun p -> p.Resource.pl_name) t.res.placed
 
 (* -- Program assembly ------------------------------------------------ *)
 
 let rebuild_program t =
-  let pipeline =
-    t.elements
-    |> List.sort (fun a b -> compare a.order b.order)
-    |> List.map (fun i -> i.inst_element)
-  in
   let prog =
     { Ast.prog_name = t.dev_id; owner = "infra"; headers = t.headers;
-      parser = t.parser; maps = t.map_decls; pipeline }
+      parser = t.parser; maps = t.map_decls;
+      pipeline = List.map (fun p -> p.Resource.pl_element) t.res.placed }
   in
   t.cached_program <- Some prog;
   t.compiled <- None; (* program changed: next exec stages the new one *)
@@ -254,7 +168,7 @@ let rebuild_program t =
     let labels = ("device", t.dev_id) :: t.obs_labels in
     Obs.Metrics.incr m ~labels "device.reconfigs";
     Obs.Metrics.set_gauge m ~labels "device.elements"
-      (float_of_int (List.length t.elements));
+      (float_of_int (List.length t.res.placed));
     Obs.Metrics.set_gauge m ~labels "device.parser_rules"
       (float_of_int (List.length t.parser))
 
@@ -284,87 +198,64 @@ let merge_headers t (ctx : Ast.program) =
     ctx.headers
 
 (* Parser rules of the context program must be present for the device to
-   accept the program's traffic; merged on install, bounded by the
-   device's parser capacity. *)
+   accept the program's traffic; [Resource.admit] has already checked
+   the parser capacity for the missing ones. *)
 let merge_parser t (ctx : Ast.program) =
-  let missing =
-    List.filter
-      (fun r ->
-        not (List.exists (fun x -> x.Ast.pr_name = r.Ast.pr_name) t.parser))
-      ctx.parser
-  in
-  if List.length t.parser + List.length missing > t.profile.parser_capacity
-  then Error (No_capacity "parser state capacity reached")
-  else begin
-    t.parser <- t.parser @ missing;
-    Ok ()
-  end
+  List.iter
+    (fun r ->
+      if not (List.exists (fun x -> x.Ast.pr_name = r.Ast.pr_name) t.parser)
+      then t.parser <- t.parser @ [ r ])
+    ctx.parser
 
-let instantiate_maps t (ctx : Ast.program) element =
+(* Instantiate the maps [element] references that were unreferenced
+   before the install ([refs]): the first referencing element creates
+   the map in this device's physical encoding. *)
+let instantiate_maps t ~refs (ctx : Ast.program) element =
   Compose.element_maps element
   |> List.sort_uniq compare
   |> List.iter (fun name ->
-         match Resource.Names.find_opt name t.map_refs with
-         | Some n -> t.map_refs <- Resource.Names.add name (n + 1) t.map_refs
-         | None ->
-           (match Ast.find_map ctx name with
-            | None -> ()
-            | Some decl ->
-              let enc =
-                Option.value
-                  (State.concrete_of_encoding decl.encoding)
-                  ~default:(default_encoding_of_kind t.profile.kind)
-              in
-              Interp.set_env_map t.env name
-                (State.create ~name ~size:decl.map_size enc);
-              t.map_decls <- t.map_decls @ [ decl ];
-              t.map_refs <- Resource.Names.add name 1 t.map_refs))
+         if not (Resource.Names.mem name refs) then
+           match Ast.find_map ctx name with
+           | None -> ()
+           | Some decl ->
+             let enc =
+               Option.value
+                 (State.concrete_of_encoding decl.encoding)
+                 ~default:(default_encoding_of_kind t.profile.kind)
+             in
+             Interp.set_env_map t.env name
+               (State.create ~name ~size:decl.map_size enc);
+             t.map_decls <- t.map_decls @ [ decl ])
 
-(** Install one element of [ctx] at pipeline position [order].
-    Admission is delegated to [Resource.admit] over a snapshot — the
-    same check the compiler runs when planning — then the side effects
-    (charging, parser/header merge, map instantiation) are applied to
-    the live device. *)
+(** Install one element of [ctx] at pipeline position [order]:
+    [Resource.admit] — the same check the compiler runs when planning —
+    then the interpreter-side effects (parser/header merge, map
+    instantiation, table registration). *)
 let install t ~(ctx : Ast.program) ~order element =
-  let snap = snapshot t in
-  match Resource.admit snap ~ctx ~order element with
+  match Resource.admit t.res ~ctx ~order element with
   | Error _ as e -> e
-  | Ok (slot, admitted) ->
-    (* the placed entry in the admitted snapshot is authoritative: for
-       an oversubscribed table its demand is already clamped to the
-       device tier and it carries the residency — recomputing the raw
-       demand here would diverge from the planner's model *)
-    let entry =
-      Option.get (Resource.find_placed admitted (Ast.element_name element))
-    in
-    let demand = entry.Resource.pl_demand in
-    let residency = entry.Resource.pl_residency in
-    let _, new_maps = Resource.element_demand snap ~ctx element in
-    (match merge_parser t ctx with
-     | Error e -> Error e (* unreachable: [admit] checked the capacity *)
-     | Ok () ->
-       charge t slot demand;
-       merge_headers t ctx;
-       instantiate_maps t ctx element;
-       (match element with
-        | Ast.Table tbl ->
-          Interp.register_table t.env tbl;
-          (match residency with
-           | Some r ->
-             Interp.set_tier_capacity t.env tbl.Ast.tbl_name
-               r.Resource.res_device_rules
-           | None ->
-             if Interp.tier_capacity t.env tbl.Ast.tbl_name <> None then
-               Interp.set_tier_capacity t.env tbl.Ast.tbl_name 0)
-        | Ast.Block _ -> ());
-       let inst =
-         { inst_element = element; inst_owner = ctx.owner; demand;
-           maps_charged = new_maps; residency; slot; order; active = true }
-       in
-       t.elements <-
-         List.sort (fun a b -> compare a.order b.order) (inst :: t.elements);
-       rebuild_program t;
-       Ok slot)
+  | Ok (slot, res) ->
+    let refs = t.res.map_refs in
+    t.res <- res;
+    merge_parser t ctx;
+    merge_headers t ctx;
+    instantiate_maps t ~refs ctx element;
+    (match element with
+     | Ast.Table tbl ->
+       Interp.register_table t.env tbl;
+       (* the placed entry carries the residency of a table admitted
+          oversubscribed: its device tier is bounded *)
+       let placed = Option.get (Resource.find_placed res tbl.Ast.tbl_name) in
+       (match placed.Resource.pl_residency with
+        | Some r ->
+          Interp.set_tier_capacity t.env tbl.Ast.tbl_name
+            r.Resource.res_device_rules
+        | None ->
+          if Interp.tier_capacity t.env tbl.Ast.tbl_name <> None then
+            Interp.set_tier_capacity t.env tbl.Ast.tbl_name 0)
+     | Ast.Block _ -> ());
+    rebuild_program t;
+    Ok slot
 
 let install_program t (prog : Ast.program) =
   let rec go i = function
@@ -381,35 +272,36 @@ let defer t cleanup =
   | Some _ -> t.deferred <- cleanup :: t.deferred
   | None -> cleanup ()
 
-let release_maps t inst =
-  Compose.element_maps inst.inst_element
-  |> List.sort_uniq compare
-  |> List.iter (fun name ->
-         match Resource.Names.find_opt name t.map_refs with
-         | None -> ()
-         | Some 1 ->
-           t.map_refs <- Resource.Names.remove name t.map_refs;
-           Interp.remove_env_map t.env name;
-           t.map_decls <-
-             List.filter (fun (m : Ast.map_decl) -> m.map_name <> name)
-               t.map_decls
-         | Some n -> t.map_refs <- Resource.Names.add name (n - 1) t.map_refs)
+(* Drop the deferred map references ([Resource.finalize]); a map whose
+   last reference went away leaves the environment. *)
+let finalize_maps t =
+  let pending = List.sort_uniq compare t.res.pending_unref in
+  t.res <- Resource.finalize t.res;
+  List.iter
+    (fun name ->
+      if not (Resource.Names.mem name t.res.map_refs) then begin
+        Interp.remove_env_map t.env name;
+        t.map_decls <-
+          List.filter (fun (m : Ast.map_decl) -> m.map_name <> name)
+            t.map_decls
+      end)
+    pending
 
 let uninstall t name =
-  match find_installed t name with
+  match Resource.release t.res name with
   | None -> false
-  | Some inst ->
-    refund t inst.slot inst.demand;
-    defer t (fun () -> release_maps t inst);
-    t.elements <- List.filter (fun i -> i != inst) t.elements;
-    (match inst.inst_element with
+  | Some (_, res) ->
+    let element = (Option.get (Resource.find_placed t.res name)).pl_element in
+    t.res <- res;
+    defer t (fun () -> finalize_maps t);
+    (match element with
      | Ast.Table tbl ->
        let tname = tbl.Ast.tbl_name in
        defer t (fun () ->
            (* skip when an element of that name was (re)installed during
               the window — its registration, rules, and tier bound must
               survive the thaw *)
-           if find_installed t tname = None then begin
+           if Resource.find_placed t.res tname = None then begin
              Interp.unregister_table t.env tname;
              if Interp.tier_capacity t.env tname <> None then
                Interp.set_tier_capacity t.env tname 0
@@ -421,37 +313,10 @@ let uninstall t name =
 (** Re-pack all staged elements first-fit in order — the fungibility
     defragmentation pass. Returns how many elements moved. *)
 let defragment t =
-  match t.profile.kind with
-  | Arch.Rmt | Arch.Elastic_pipe ->
-    let staged, rest =
-      List.partition
-        (fun i -> match i.slot with In_stage _ -> true | _ -> false)
-        t.elements
-    in
-    let staged = List.sort (fun a b -> compare a.order b.order) staged in
-    Array.fill t.stage_used 0 (Array.length t.stage_used) Resource.zero;
-    let moved = ref 0 in
-    let current_min = ref 0 in
-    List.iter
-      (fun inst ->
-        let rec try_stage s =
-          if s >= t.profile.stages then s (* cannot happen: it fit before *)
-          else if Resource.fits inst.demand (stage_free t s) then s
-          else try_stage (s + 1)
-        in
-        let s = try_stage !current_min in
-        current_min := s;
-        (match inst.slot with
-         | In_stage old when old <> s -> incr moved
-         | _ -> ());
-        inst.slot <- In_stage s;
-        t.stage_used.(s) <- Resource.add t.stage_used.(s) inst.demand)
-      staged;
-    t.elements <-
-      List.sort (fun a b -> compare a.order b.order) (staged @ rest);
-    if !moved > 0 then rebuild_program t;
-    !moved
-  | _ -> 0
+  let moved, res = Resource.defragment t.res in
+  t.res <- res;
+  if moved > 0 then rebuild_program t;
+  moved
 
 (* -- State transfer ---------------------------------------------------- *)
 
@@ -479,24 +344,21 @@ let load_map_snapshot t name snap =
 (* -- Parser reconfiguration ------------------------------------------ *)
 
 let add_parser_rule t rule =
-  if List.length t.parser >= t.profile.parser_capacity then
-    Error (No_capacity "parser state capacity reached")
-  else if List.exists (fun r -> r.Ast.pr_name = rule.Ast.pr_name) t.parser then
-    Error (Unsupported ("duplicate parser rule " ^ rule.Ast.pr_name))
-  else begin
-    t.parser <- t.parser @ [ rule ];
-    rebuild_program t;
-    Ok ()
-  end
+  Result.map
+    (fun res ->
+      t.res <- res;
+      t.parser <- t.parser @ [ rule ];
+      rebuild_program t)
+    (Resource.add_parser_rule t.res rule)
 
 let remove_parser_rule t name =
-  let before = List.length t.parser in
-  t.parser <- List.filter (fun r -> r.Ast.pr_name <> name) t.parser;
-  if List.length t.parser < before then begin
+  match Resource.remove_parser_rule t.res name with
+  | None -> false
+  | Some res ->
+    t.res <- res;
+    t.parser <- List.filter (fun r -> r.Ast.pr_name <> name) t.parser;
     rebuild_program t;
     true
-  end
-  else false
 
 (* -- Execution -------------------------------------------------------- *)
 
@@ -504,24 +366,19 @@ let hashtbl_keys tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl []
 
 (** Begin a reconfiguration window: traffic keeps seeing the current
     program — through its already-staged fast path — until [thaw].
-    Also snapshots the structural state so a mid-update crash or abort
-    can [rollback]. Idempotent. *)
+    Also checkpoints the structural state — the current resource
+    snapshot value among it — so a mid-update crash or abort can
+    [rollback]. Idempotent. *)
 let freeze t =
   if t.frozen = None then begin
     t.compiled_frozen <- Some (compiled_program t);
     t.frozen <- Some (program t, t.version);
     t.checkpoint <-
       Some
-        { ck_elements = List.map (fun i -> { i with slot = i.slot }) t.elements;
+        { ck_res = t.res;
           ck_headers = t.headers;
           ck_parser = t.parser;
           ck_map_decls = t.map_decls;
-          ck_stage_used = Array.copy t.stage_used;
-          ck_pool_used = t.pool_used;
-          ck_tiles_used =
-            Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tiles_used [];
-          ck_pem_used = t.pem_used;
-          ck_map_refs = t.map_refs;
           ck_env_maps = hashtbl_keys t.env.Interp.maps;
           ck_env_tables = hashtbl_keys t.env.Interp.tables;
           ck_tier_caps =
@@ -556,16 +413,10 @@ let is_frozen t = t.frozen <> None
 let rollback t =
   match t.frozen, t.checkpoint with
   | Some (old_prog, _), Some ck ->
-    t.elements <- ck.ck_elements;
+    t.res <- ck.ck_res;
     t.headers <- ck.ck_headers;
     t.parser <- ck.ck_parser;
     t.map_decls <- ck.ck_map_decls;
-    Array.blit ck.ck_stage_used 0 t.stage_used 0 (Array.length t.stage_used);
-    t.pool_used <- ck.ck_pool_used;
-    Hashtbl.reset t.tiles_used;
-    List.iter (fun (k, v) -> Hashtbl.replace t.tiles_used k v) ck.ck_tiles_used;
-    t.pem_used <- ck.ck_pem_used;
-    t.map_refs <- ck.ck_map_refs;
     List.iter
       (fun name ->
         if not (List.mem name ck.ck_env_maps) then
@@ -679,50 +530,9 @@ let tier_resident_keys t name =
 
 let warm_tier t name keys = Compile.warm_table (compiled_program t) name keys
 
-(** Push the device-tier telemetry of every tiered table into the
-    attached scope as gauges labelled (device, table). No-op when no
-    scope is wired or no table is tiered. *)
-let publish_tier_metrics t =
-  match t.obs_scope with
-  | None -> ()
-  | Some scope ->
-    let m = Obs.Scope.metrics scope in
-    List.iter
-      (fun (s : Compile.tier_stat) ->
-        let labels =
-          ("device", t.dev_id) :: ("table", s.Compile.ts_table) :: t.obs_labels
-        in
-        let gauge name v =
-          Obs.Metrics.set_gauge m ~labels name (float_of_int v)
-        in
-        gauge "table.capacity" s.Compile.ts_capacity;
-        gauge "table.resident" s.Compile.ts_resident;
-        gauge "table.hits" s.Compile.ts_hits;
-        gauge "table.misses" s.Compile.ts_misses;
-        gauge "table.promotions" s.Compile.ts_promotions;
-        gauge "table.evictions" s.Compile.ts_evictions;
-        gauge "table.demotions" s.Compile.ts_demotions)
-      (tier_stats t)
-
 (* -- Utilization / energy --------------------------------------------- *)
 
-let utilization t =
-  match t.profile.kind with
-  | Arch.Rmt | Arch.Elastic_pipe ->
-    let total = Resource.scale t.profile.stages t.profile.per_stage in
-    let used = Array.fold_left Resource.add Resource.zero t.stage_used in
-    Resource.utilization ~used ~capacity:total
-  | Arch.Tiles ->
-    let tile_util =
-      List.fold_left
-        (fun acc (k, cap) ->
-          if cap = 0 then acc
-          else Float.max acc (float_of_int (tiles_in_use t k) /. float_of_int cap))
-        0. t.profile.tiles
-    in
-    Float.max tile_util
-      (Resource.utilization ~used:t.pool_used ~capacity:t.profile.pool)
-  | _ -> Resource.utilization ~used:t.pool_used ~capacity:t.profile.pool
+let utilization t = Resource.occupancy t.res
 
 let set_power t on = t.powered_on <- on
 let powered_on t = t.powered_on
@@ -736,5 +546,5 @@ let reconfig_times t = t.profile.reconfig
 let pp ppf t =
   Fmt.pf ppf "%s(%s, %d elements, util %.0f%%)" t.dev_id
     (Arch.kind_to_string t.profile.kind)
-    (List.length t.elements)
+    (List.length t.res.placed)
     (100. *. utilization t)

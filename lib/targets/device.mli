@@ -3,10 +3,11 @@
     All architectures share FlexBPF's functional semantics (one
     interpreter); they differ in {e where} an element may be placed and
     what it costs — the paper's fungibility taxonomy. The device
-    performs its own internal slotting (stage / tile / pool / PEM),
-    mirroring how vendor backends hide physical layout behind the
-    device API; the global compiler only picks which device hosts which
-    element.
+    performs its own internal slotting (stage / tile / pool / PEM), as
+    vendor backends hide physical layout behind the device API; the
+    global compiler only picks which device hosts which element. The
+    device's resource state is one [Resource.snapshot], changed only by
+    the [Resource] functions the compiler plans with.
 
     Two-version consistency (§2): [freeze] keeps traffic on the current
     program while mutations are applied; [thaw] makes the new program
@@ -18,8 +19,6 @@ type slot = Resource.slot =
   | In_pool
   | In_pem
 
-val slot_to_string : slot -> string
-
 type reject = Resource.reject =
   | No_capacity of string
   | Unsupported of string
@@ -28,14 +27,12 @@ val reject_to_string : reject -> string
 
 type t
 
-(** An immutable copy of the device's resource state — what the
-    compiler plans against ([Resource.admit] over a snapshot is exactly
-    the admission [install] performs on the live device). *)
+(** The device's resource state — what the compiler plans against.
+    The device holds this snapshot and every resource operation replaces
+    it with the result of the matching [Resource] function, so
+    [Resource.admit] over it is exactly the admission [install]
+    performs. Returned without copying: the value is immutable. *)
 val snapshot : t -> Resource.snapshot
-
-(** The compiler's state-encoding selection (§3.1): each architecture
-    class has a natural physical encoding for logical maps. *)
-val default_encoding_of_kind : Arch.kind -> Flexbpf.State.concrete
 
 val create : ?id:string -> Arch.profile -> t
 
@@ -60,18 +57,12 @@ val env : t -> Flexbpf.Interp.env
 val processed : t -> int
 val installed_names : t -> string list
 
-(** Resource demand of an element within context program [ctx],
-    including not-yet-present maps it references (the first referencing
-    element pays for a map). Returns (demand, newly charged maps). *)
-val element_demand :
-  t -> ctx:Flexbpf.Ast.program -> Flexbpf.Ast.element ->
-  Resource.t * (string * int) list
-
-(** Install one element of [ctx] at pipeline position [order].
-    Admission is architecture-specific: per-stage fit with monotonic
-    order on RMT/elastic, typed tiles on Tiles, pooled elsewhere;
-    blocks are bounded by [max_block_cycles]. The context's parser
-    rules and headers are merged in. *)
+(** Install one element of [ctx] at pipeline position [order]:
+    [Resource.admit] on the device's snapshot (per-stage fit with
+    monotonic order on RMT/elastic, typed tiles on Tiles, pooled
+    elsewhere; blocks bounded by [max_block_cycles]), then the context's
+    parser rules, headers and new maps are merged into the interpreter
+    environment. *)
 val install :
   t -> ctx:Flexbpf.Ast.program -> order:int -> Flexbpf.Ast.element ->
   (slot, reject) result
@@ -80,13 +71,14 @@ val install :
     order [i]); stops at the first rejection and returns it. *)
 val install_program : t -> Flexbpf.Ast.program -> (unit, reject) result
 
-(** Remove an element, refunding its resources. Map/rule cleanup is
-    deferred while frozen so the old program stays runnable. *)
+(** Remove an element ([Resource.release]). The map-reference drop
+    ([Resource.finalize]) and table cleanup run at once, or at [thaw]
+    while frozen so the old program stays runnable. *)
 val uninstall : t -> string -> bool
 
 (** Re-pack staged architectures first-fit in pipeline order so free
-    stage space coalesces; returns how many elements moved. No-op on
-    pooled architectures. *)
+    stage space coalesces ([Resource.defragment]); returns how many
+    elements moved. No-op on pooled architectures. *)
 val defragment : t -> int
 
 (** {2 State transfer} *)
@@ -179,15 +171,10 @@ val tier_resident_keys : t -> string -> Flexbpf.State.key list
     no-op on untiered tables. *)
 val warm_tier : t -> string -> Flexbpf.State.key list -> unit
 
-(** Push tiered-table telemetry into the attached scope as gauges
-    ("table.hits", "table.misses", "table.promotions",
-    "table.evictions", "table.demotions", "table.capacity",
-    "table.resident") labelled (device, table). *)
-val publish_tier_metrics : t -> unit
-
 (** {2 Utilization / energy} *)
 
-(** Most-loaded-dimension occupancy in [0, 1]. *)
+(** Most-loaded-dimension occupancy in [0, 1]
+    ([Resource.occupancy] of the snapshot). *)
 val utilization : t -> float
 
 val set_power : t -> bool -> unit

@@ -1,8 +1,10 @@
 (** Resource vectors and device resource snapshots. The vector type
     [t] describes both a capacity (what a stage, tile pool, or device
     offers) and a demand (what a program element needs); a [snapshot]
-    is an immutable copy of one device's resource state that [admit]
-    and friends update purely, so the compiler can plan placements
+    is an immutable value of one device's resource state that [admit]
+    and friends update purely. A [Targets.Device] holds one snapshot as
+    its resource state and changes it only through these functions, so
+    the compiler plans placements against the device's own model
     without touching hardware. *)
 
 type t = {
@@ -130,8 +132,9 @@ val min_stage : snapshot -> order:int -> int
 (** Full install-time admission of one element of [ctx] at pipeline
     position [order]: block-cycle bound, demand, architecture-specific
     slotting, parser capacity for missing context rules. On success
-    returns the chosen slot and the post-install snapshot — exactly
-    what [Targets.Device.install] would do to the live device.
+    returns the chosen slot and the post-install snapshot
+    ([Targets.Device.install] is this plus the interpreter side
+    effects).
 
     Oversubscription is admission policy, not rejection: a table whose
     full match memory does not slot is admitted with the largest
@@ -142,12 +145,12 @@ val admit :
   (slot * snapshot, reject) result
 
 (** Release a placed element: demand refunded now, map-reference drop
-    deferred to [finalize] (the device's frozen-window semantics, under
-    which all plans execute). [None] if absent. *)
+    deferred to [finalize] (the frozen-window semantics under which all
+    plans execute). [None] if absent. *)
 val release : snapshot -> string -> (slot * snapshot) option
 
-(** Process deferred map unrefs — the snapshot counterpart of the
-    device's thaw-time cleanup. *)
+(** Process deferred map unrefs — the device runs this at thaw, or at
+    once when not frozen. *)
 val finalize : snapshot -> snapshot
 
 val add_parser_rule :
@@ -156,15 +159,18 @@ val add_parser_rule :
 (** [None] if the rule is not present. *)
 val remove_parser_rule : snapshot -> string -> snapshot option
 
-(** Re-pack staged elements first-fit in pipeline order (the snapshot
-    counterpart of [Targets.Device.defragment], same first-fit, so a
-    planned defrag predicts the device's slots). Returns (moves, new
-    snapshot). *)
+(** Re-pack staged elements first-fit in pipeline order so free stage
+    space coalesces. Returns (moves, new snapshot). *)
 val defragment : snapshot -> int * snapshot
 
 (** Occupied resources summed over the shape's partitions; tiles count
     as whole tiles of SRAM. *)
 val used : snapshot -> t
+
+(** Most-loaded-dimension occupancy in [0, 1] — what
+    [Targets.Device.utilization] reports for the device holding the
+    snapshot. *)
+val occupancy : snapshot -> float
 
 (** Structural differences between a predicted and an observed
     snapshot — empty when the planner's model matched the device. *)

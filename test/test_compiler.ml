@@ -482,20 +482,63 @@ let test_consolidation_powers_off () =
   match Runtime.Reconfig.place ~path prog with
   | Error f -> Alcotest.failf "place: %a" Compiler.Placement.pp_failure f
   | Ok placement ->
-    let report = Compiler.Energy.consolidate placement in
+    let report = Runtime.Energy.consolidate placement in
     check "energy reduced or equal" true
-      (report.Compiler.Energy.watts_after <= report.Compiler.Energy.watts_before);
+      (report.Runtime.Energy.watts_after <= report.Runtime.Energy.watts_before);
     (* devices that ended empty are off *)
     List.iter
       (fun d ->
         if Targets.Device.installed_names d = [] && List.mem
              (Targets.Device.id d)
-             (report.Compiler.Energy.powered_off)
+             (report.Runtime.Energy.powered_off)
         then check "off device is off" false (Targets.Device.powered_on d))
       path;
-    Compiler.Energy.expand path;
+    Runtime.Energy.expand path;
     check "expand powers all on" true
       (List.for_all Targets.Device.powered_on path)
+
+let fwd_table name =
+  table name
+    ~keys:[ exact (field "ipv4" "dst") ]
+    ~actions:[ action "fwd" ~params:[ "p" ] [ forward (param "p") ] ]
+    ~default:("nop", []) ~size:1024 ()
+
+let test_consolidation_keeps_rules () =
+  (* a relocated table takes its control-plane rules along: the rule
+     installed on s0 still forwards once consolidation has moved t0 to
+     s1 and powered s0 off *)
+  let s0 = Targets.Device.create ~id:"s0" Targets.Arch.drmt in
+  let s1 = Targets.Device.create ~id:"s1" Targets.Arch.drmt in
+  let prog = program "two" [ fwd_table "t0"; fwd_table "t1" ] in
+  List.iteri
+    (fun i (dev, el) ->
+      (match Targets.Device.install dev ~ctx:prog ~order:i el with
+       | Ok _ -> ()
+       | Error r -> Alcotest.failf "install: %s" (Targets.Device.reject_to_string r));
+      Flexbpf.Interp.install_rule (Targets.Device.env dev)
+        (Flexbpf.Ast.element_name el)
+        (rule ~matches:[ exact_i (7 + i) ] ~action:("fwd", [ 3 + i ]) ()))
+    (List.combine [ s0; s1 ] prog.Flexbpf.Ast.pipeline);
+  let placement =
+    { Compiler.Placement.path = [ s0; s1 ]; prog;
+      where = [ ("t0", s0); ("t1", s1) ] }
+  in
+  let report = Runtime.Energy.consolidate placement in
+  check_int "one move" 1 (List.length report.Runtime.Energy.moves);
+  check "t0 now on s1" true
+    (List.mem "t0" (Targets.Device.installed_names s1));
+  check_int "t0 keeps its rule" 1
+    (List.length (Flexbpf.Interp.table_rules (Targets.Device.env s1) "t0"));
+  let pkt =
+    Netsim.Packet.create
+      [ Netsim.Packet.ethernet ~src:1L ~dst:7L ();
+        Netsim.Packet.ipv4 ~src:1L ~dst:7L ();
+        Netsim.Packet.tcp ~sport:1L ~dport:2L () ]
+  in
+  let verdict = (Targets.Device.exec s1 ~now_us:0L pkt).Flexbpf.Interp.verdict in
+  (* only t0's rule matches dst 7 *)
+  Alcotest.(check (option int)) "packet hits t0's rule on s1" (Some 3)
+    verdict.Flexbpf.Interp.egress
 
 let () =
   Alcotest.run "compiler"
@@ -528,4 +571,6 @@ let () =
         [ Alcotest.test_case "estimate+certify" `Quick test_sla_estimate_and_certify;
           Alcotest.test_case "host penalty" `Quick test_sla_penalizes_host_placement ] );
       ( "energy",
-        [ Alcotest.test_case "consolidation" `Quick test_consolidation_powers_off ] ) ]
+        [ Alcotest.test_case "consolidation" `Quick test_consolidation_powers_off;
+          Alcotest.test_case "consolidation keeps rules" `Quick
+            test_consolidation_keeps_rules ] ) ]

@@ -622,6 +622,95 @@ let prop_defragment_preserves_contents =
       List.map Ast.element_name (Targets.Device.program dev).Ast.pipeline
       = survivors)
 
+(* Freeze, mutate, rollback: the checkpoint is the pre-freeze snapshot
+   value, so a rollback must restore the resource state, the program
+   and the version exactly, whatever ran inside the window. *)
+type window_op =
+  | W_install of int
+  | W_uninstall of int
+  | W_defragment
+  | W_parser of int
+
+let window_pool =
+  let open Builder in
+  let maps =
+    [ map_decl ~key_arity:1 ~size:4096 "m0";
+      map_decl ~key_arity:1 ~size:2048 "m1" ]
+  in
+  let elements =
+    [ table "t0" ~keys:[ exact (field "ipv4" "dst") ]
+        ~actions:[ action "a" [ Ast.Nop ] ] ~default:("a", []) ~size:4096 ();
+      table "t1" ~keys:[ lpm (field "ipv4" "dst") ]
+        ~actions:[ action "a" [ Ast.Nop ] ] ~default:("a", []) ~size:512 ();
+      table "t2" ~keys:[ exact (field "ipv4" "src") ]
+        ~actions:[ action "a" [ Ast.Nop ] ] ~default:("a", []) ~size:150_000 ();
+      block "b0" [ map_incr "m0" [ const 0 ] ];
+      block "b1" [ map_incr "m0" [ const 1 ]; map_incr "m1" [ const 1 ] ];
+      block "b2" [ set_meta "x" (const 2) ] ]
+  in
+  program "window" ~maps
+    ~parser:[ parser_rule "parse_ipv4" [ "ethernet"; "ipv4" ] ]
+    elements
+
+let window_op_gen =
+  let n = List.length window_pool.Ast.pipeline in
+  QCheck.Gen.(
+    frequency
+      [ (3, map (fun i -> W_install i) (int_bound (n - 1)));
+        (3, map (fun i -> W_uninstall i) (int_bound (n - 1)));
+        (1, return W_defragment);
+        (1, map (fun i -> W_parser i) (int_bound 3)) ])
+
+let window_op_print = function
+  | W_install i -> Printf.sprintf "install %d" i
+  | W_uninstall i -> Printf.sprintf "uninstall %d" i
+  | W_defragment -> "defragment"
+  | W_parser i -> Printf.sprintf "parser %d" i
+
+let apply_window_op dev = function
+  | W_install i ->
+    ignore
+      (Targets.Device.install dev ~ctx:window_pool ~order:i
+         (List.nth window_pool.Ast.pipeline i))
+  | W_uninstall i ->
+    ignore
+      (Targets.Device.uninstall dev
+         (Ast.element_name (List.nth window_pool.Ast.pipeline i)))
+  | W_defragment -> ignore (Targets.Device.defragment dev)
+  | W_parser i ->
+    ignore
+      (Targets.Device.add_parser_rule dev
+         (Builder.parser_rule (Printf.sprintf "p%d" i) [ "ethernet" ]))
+
+let prop_rollback_restores_checkpoint =
+  let ops = QCheck.Gen.(list_size (int_range 0 8) window_op_gen) in
+  QCheck.Test.make ~name:"rollback restores the pre-freeze snapshot"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (kind, before, inside) ->
+         Printf.sprintf "%s: [%s] freeze [%s]"
+           (Targets.Arch.kind_to_string kind)
+           (String.concat "; " (List.map window_op_print before))
+           (String.concat "; " (List.map window_op_print inside)))
+       QCheck.Gen.(
+         triple
+           (oneofl
+              Targets.Arch.[ Rmt; Elastic_pipe; Tiles; Drmt ])
+           ops ops))
+    (fun (kind, before, inside) ->
+      let dev = Targets.Device.create (Targets.Arch.profile_of_kind kind) in
+      List.iter (apply_window_op dev) before;
+      let snap = Targets.Device.snapshot dev in
+      let prog = Targets.Device.program dev in
+      let version = Targets.Device.version dev in
+      Targets.Device.freeze dev;
+      List.iter (apply_window_op dev) inside;
+      Targets.Device.rollback dev;
+      Targets.Device.snapshot dev == Targets.Device.snapshot dev
+      && Targets.Resource.diff snap (Targets.Device.snapshot dev) = []
+      && Targets.Device.program dev = prog
+      && Targets.Device.version dev = version)
+
 (* -- ECMP ----------------------------------------------------------------------------------------- *)
 
 let prop_ecmp_port_valid =
@@ -848,7 +937,8 @@ let () =
       ( "placement", [ to_alcotest prop_placement_all_or_nothing ] );
       ( "device",
         [ to_alcotest prop_install_uninstall_identity;
-          to_alcotest prop_defragment_preserves_contents ] );
+          to_alcotest prop_defragment_preserves_contents;
+          to_alcotest prop_rollback_restores_checkpoint ] );
       ( "ecmp", [ to_alcotest prop_ecmp_port_valid ] );
       ( "merge", [ to_alcotest prop_merge_rule_count ] );
       ( "syntax",

@@ -279,6 +279,54 @@ let prop_domain_count_invisible =
           String.equal e1 e && ev1 = ev)
         (List.tl domain_counts))
 
+(* -- topology: the fat tree's shape and routing -------------------------- *)
+
+(* k=4: 16 hosts, 20 switches, and following [Fat_tree.route] hop by
+   hop along [Spec.links] takes every host to every other host within
+   the six hops of an up-core-down path, whatever the ECMP choice. *)
+let test_fat_tree_shape () =
+  let net = Fat_tree.create ~k:4 () in
+  let hosts = Fat_tree.hosts net in
+  check_int "k=4 fat tree has 16 hosts" 16 (Array.length hosts);
+  check_int "k=4 fat tree has 20 switches" 20 (Fat_tree.switch_count net);
+  let peer = Hashtbl.create 64 in
+  List.iter
+    (fun (l : Shard.Spec.link) ->
+      Hashtbl.replace peer (l.lk_a, l.lk_a_port) l.lk_b;
+      Hashtbl.replace peer (l.lk_b, l.lk_b_port) l.lk_a)
+    (Shard.Spec.links (Fat_tree.spec net));
+  let reaches src dst sport =
+    let pkt =
+      Netsim.Packet.create
+        [ Netsim.Packet.ipv4 ~src:(Int64.of_int src) ~dst:(Int64.of_int dst) ();
+          Netsim.Packet.tcp ~sport:(Int64.of_int sport) ~dport:80L () ]
+    in
+    let rec walk node hops =
+      node = dst
+      || hops < 6
+         &&
+         match Fat_tree.route net ~node ~dst pkt with
+         | None -> false
+         | Some port ->
+           (match Hashtbl.find_opt peer (node, port) with
+            | None -> false
+            | Some next -> walk next (hops + 1))
+    in
+    walk src 0
+  in
+  Array.iter
+    (fun a ->
+      Array.iter
+        (fun b ->
+          List.iter
+            (fun sport ->
+              if a <> b && not (reaches a b sport) then
+                Alcotest.failf "host %d does not reach host %d (sport %d)" a b
+                  sport)
+            [ 1000; 1001; 1002; 1003 ])
+        hosts)
+    hosts
+
 let () =
   Alcotest.run "shard"
     [ ( "engine",
@@ -295,6 +343,7 @@ let () =
           Alcotest.test_case "cross-shard delay preserved" `Quick
             test_cross_shard_link_delay_preserved;
           Alcotest.test_case "validation" `Quick test_partition_validation ] );
+      ("topology", [ Alcotest.test_case "fat tree" `Quick test_fat_tree_shape ]);
       ( "properties",
         [ to_alcotest prop_differential;
           to_alcotest prop_domain_count_invisible ] ) ]

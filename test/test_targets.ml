@@ -283,9 +283,12 @@ let test_map_charged_once () =
   let b1 = block "b1" [ map_incr "shared" [ const 0 ] ] in
   let b2 = block "b2" [ map_incr "shared" [ const 1 ] ] in
   let ctx = program "ctx" ~maps:[ shared_map ] [ b1; b2 ] in
-  let d1, maps1 = Targets.Device.element_demand dev ~ctx b1 in
+  let demand el =
+    Targets.Resource.element_demand (Targets.Device.snapshot dev) ~ctx el
+  in
+  let d1, maps1 = demand b1 in
   ignore (Targets.Device.install dev ~ctx ~order:0 b1);
-  let d2, maps2 = Targets.Device.element_demand dev ~ctx b2 in
+  let d2, maps2 = demand b2 in
   check "first element pays for the map" true
     (d1.Targets.Resource.sram_bytes > d2.Targets.Resource.sram_bytes);
   check_int "map charged to first" 1 (List.length maps1);
@@ -299,7 +302,9 @@ let test_oversubscribed_table_admitted () =
   let dev = Targets.Device.create Targets.Arch.rmt in
   let tbl = big_exact_table ~size:150_000 "huge" in
   let ctx = prog_of [ tbl ] in
-  let demand, _ = Targets.Device.element_demand dev ~ctx tbl in
+  let demand, _ =
+    Targets.Resource.element_demand (Targets.Device.snapshot dev) ~ctx tbl
+  in
   check "logical demand exceeds a stage" true
     (demand.Targets.Resource.sram_bytes
      > Targets.Arch.rmt.Targets.Arch.per_stage.Targets.Resource.sram_bytes);
